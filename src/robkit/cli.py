@@ -51,7 +51,6 @@ class ExperimentConfig:
     emit_bbp: bool
     seed: int
     out_dir: Path
-    threads: int = 1
 
 
 _NORMS = {"l1": NormKind.L1, "l2": NormKind.L2, "linf": NormKind.LINF}
@@ -121,10 +120,6 @@ def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
     if overrides is not None and getattr(overrides, "out", None):
         out_dir = overrides.out
 
-    threads = int(raw.get("threads", 1))
-    if overrides is not None and getattr(overrides, "threads", None):
-        threads = overrides.threads
-
     if not report.ok:
         return None, report
     cfg = ExperimentConfig(
@@ -142,7 +137,6 @@ def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
         emit_bbp=emit_bbp,
         seed=int(seed),
         out_dir=Path(out_dir),
-        threads=threads,
     )
     return cfg, report
 
@@ -267,7 +261,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--algo", choices=["ssra", "hsra"], default=None)
     run_p.add_argument("--emit-bbp", dest="emit_bbp", action="store_true")
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--threads", type=int, default=None)
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("--config", required=True)
@@ -299,7 +292,9 @@ def main(argv=None) -> int:
     try:
         summary = run_experiment(cfg)
     except Exception as exc:  # indicator/runtime failures
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # notes added on the way up name the failing direction and radius
+        context = "".join(f"; {note}" for note in getattr(exc, "__notes__", ()))
+        print(f"runtime error: {exc}{context}", file=sys.stderr)
         return 3
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .gridspec import GridScheme, RadiusGrid, locate, predict_meq
+from .gridspec import OutOfRangeError, RadiusGrid, locate, predict_meq
 from .segfun import MergeCostCounter, SegFun, merge
 from .uncsample import (
     BlockShape,
@@ -29,15 +30,10 @@ class CorruptedInputError(ValueError):
     pass
 
 
-class OutOfRangeError(ValueError):
-    pass
-
-
 @dataclass
 class RadialSampleRun:
     """Indicator values along one direction, encoded over grid indices."""
 
-    direction_index: int
     segments: SegFun
     simulations_used: int
     radii_by_index: np.ndarray | None = None
@@ -109,12 +105,7 @@ def radial_sampling(
         p = j - 1
     rows.reverse()
     seg = SegFun.from_rows(g.m, rows)
-    return RadialSampleRun(direction_index, seg, sims, radii)
-
-
-def _direction_run(k, grid, indicator, d, norm_kind, seed, shape):
-    u = sample_surface(d, norm_kind, SeededStream(seed, 2 * k), shape)
-    return radial_sampling(u, grid, indicator, SeededStream(seed, 2 * k + 1), k)
+    return RadialSampleRun(seg, sims, radii)
 
 
 def binary_decomposition(n: int) -> list[int]:
@@ -137,21 +128,50 @@ def predicted_speedup(n: int) -> float:
     return (n + 2) * (n - 1) / (2 * hier)
 
 
-def _report(grid, runs, counter, algo_speedup_n):
-    sims = np.array([r.simulations_used for r in runs])
-    total = int(sims.sum())
-    groups = binary_decomposition(len(runs))
-    return ComplexityReport(
-        n_samples=len(runs),
+def _sample_reuse(n, groups, grid, indicator, d, norm_kind, seed, shape):
+    """Stream directions k = 1..n, reduce each group of consecutive leaves by
+    a balanced binary merge tree, and fold the group sums into the total in
+    order.  Group sizes must be powers of two summing to n.
+
+    A stack of (leaf count, partial sum) pairs stands in for the tree: an
+    incoming sum merges with the top while their leaf counts are equal, which
+    pairs the same leaves as a level-by-level reduction.  Only O(log n) sums
+    and the integer simulation totals are kept."""
+    if n < 1:
+        raise ValueError("need at least one direction")
+    counter = MergeCostCounter()
+    sims = sims_sq = 0
+    h = None
+    k = 0
+    for size in groups:
+        stack = []
+        for _ in range(size):
+            k += 1
+            u = sample_surface(d, norm_kind, SeededStream(seed, 2 * k), shape)
+            run = radial_sampling(u, grid, indicator, SeededStream(seed, 2 * k + 1), k)
+            sims += run.simulations_used
+            sims_sq += run.simulations_used**2
+            leaves, seg = 1, run.segments
+            while stack and stack[-1][0] == leaves:
+                seg = merge(stack.pop()[1], seg, counter)
+                leaves *= 2
+            stack.append((leaves, seg))
+        [(_, seg)] = stack
+        h = seg if h is None else merge(h, seg, counter)
+    decomposition = binary_decomposition(n)
+    # sample variance from the exact integer sums (ddof=1)
+    var = (n * sims_sq - sims * sims) / (n * (n - 1)) if n > 1 else 0.0
+    return h, ComplexityReport(
+        n_samples=n,
         m=grid.m,
-        total_simulations=total,
-        measured_meq=total / len(runs),
+        total_simulations=sims,
+        measured_meq=sims / n,
         merge_row_visits=counter.row_visits,
         predicted_meq=predict_meq(grid.scheme, grid.lam, grid.m),
-        predicted_speedup=predicted_speedup(algo_speedup_n),
-        tau=len(groups),
-        group_sizes=groups,
-        simulations_std=float(sims.std(ddof=1)) if len(runs) > 1 else 0.0,
+        predicted_speedup=predicted_speedup(n),
+        tau=len(decomposition),
+        group_sizes=decomposition,
+        simulations_std=math.sqrt(var),
     )
 
 
@@ -165,16 +185,9 @@ def ssra(
     shape: BlockShape | None = None,
 ) -> tuple[SegFun, ComplexityReport]:
     """Sequential sample reuse: fold each direction's run into the running sum."""
-    if n_samples < 1:
-        raise ValueError("need at least one direction")
-    counter = MergeCostCounter()
-    runs = []
-    h = None
-    for k in range(1, n_samples + 1):
-        run = _direction_run(k, grid, indicator, d, norm_kind, seed, shape)
-        runs.append(run)
-        h = run.segments if h is None else merge(run.segments, h, counter)
-    return h, _report(grid, runs, counter, n_samples)
+    return _sample_reuse(
+        n_samples, repeat(1, n_samples), grid, indicator, d, norm_kind, seed, shape
+    )
 
 
 def hsra(
@@ -189,28 +202,8 @@ def hsra(
     """Hierarchical sample reuse: split the sample count into powers of two,
     reduce each group by a balanced binary merge tree, then fold the group
     results, smallest group first.  Produces the same counts as ssra."""
-    if n_samples < 1:
-        raise ValueError("need at least one direction")
-    counter = MergeCostCounter()
-    runs = []
-    next_k = 1
-    group_results = []
-    for size in binary_decomposition(n_samples):
-        level = []
-        for k in range(next_k, next_k + size):
-            run = _direction_run(k, grid, indicator, d, norm_kind, seed, shape)
-            runs.append(run)
-            level.append(run.segments)
-        next_k += size
-        while len(level) > 1:
-            level = [
-                merge(level[i], level[i + 1], counter) for i in range(0, len(level), 2)
-            ]
-        group_results.append(level[0])
-    h = group_results[0]
-    for seg in group_results[1:]:
-        h = merge(h, seg, counter)
-    return h, _report(grid, runs, counter, n_samples)
+    groups = binary_decomposition(n_samples)
+    return _sample_reuse(n_samples, groups, grid, indicator, d, norm_kind, seed, shape)
 
 
 def chernoff_n(eps: float, delta: float) -> int:

@@ -92,9 +92,6 @@ class UncertaintyInstance:
     def dim(self) -> int:
         return self.coords.size
 
-    def reshaped(self, shape: BlockShape) -> "UncertaintyInstance":
-        return UncertaintyInstance(self.coords, shape)
-
     def as_matrix(self) -> np.ndarray:
         """Materialize the block as a (possibly complex) rows x cols matrix."""
         s = self.shape

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from robkit import indicators
 from robkit.cli import CSV_HEADER, main, parse_config
 
 
@@ -91,6 +92,23 @@ class TestRun:
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = layered_config(tmp_path, system={"kind": "unheard_of"})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    def test_runtime_error_names_direction_and_radius(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(delta):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(
+            indicators,
+            "layered_oracle",
+            lambda *a: indicators.Indicator(broken, "always raises"),
+        )
+        cfg = layered_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: boom" in err
+        assert "indicator failed on direction 1 at radius" in err
 
     def test_chernoff_sizing_from_eps_delta(self, tmp_path):
         cfg = layered_config(tmp_path, sample={"epsilon": 0.2, "delta": 0.2})

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from robkit import gridspec
 from robkit.gridspec import GridScheme, build_grid
 from robkit.indicators import Indicator, layered_oracle, layered_scriptp
 from robkit.reuse import (
@@ -19,8 +21,14 @@ from robkit.reuse import (
     radial_sampling,
     ssra,
 )
-from robkit.segfun import SegFun
-from robkit.uncsample import DirectionSample, NormKind, UncertaintyInstance
+from robkit.segfun import MergeCostCounter, SegFun, merge
+from robkit.uncsample import (
+    DirectionSample,
+    NormKind,
+    SeededStream,
+    UncertaintyInstance,
+    sample_surface,
+)
 
 
 class ScriptedRng:
@@ -167,6 +175,83 @@ class TestAlgorithms:
         assert np.all(np.abs(curve.values - truth) < band)
 
 
+class TestReferenceSchedules:
+    """hsra and ssra against merge schedules written out in full over leaves
+    drawn with the (2k, 2k+1) stream convention."""
+
+    D, SEED = 10, 4
+    NS = (1, 2, 3, 7, 255, 256, 1000)
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
+        ind = layered_oracle(20, 11, 19)
+        leaves = []
+        for k in range(1, max(self.NS) + 1):
+            u = sample_surface(self.D, NormKind.L2, SeededStream(self.SEED, 2 * k))
+            rng = SeededStream(self.SEED, 2 * k + 1)
+            leaves.append(radial_sampling(u, g, ind, rng))
+        return g, ind, leaves
+
+    @staticmethod
+    def level_tree(segs):
+        counter, start, groups = MergeCostCounter(), 0, []
+        for size in binary_decomposition(len(segs)):
+            level = segs[start : start + size]
+            start += size
+            while len(level) > 1:
+                level = [
+                    merge(level[i], level[i + 1], counter)
+                    for i in range(0, len(level), 2)
+                ]
+            groups.append(level[0])
+        h = groups[0]
+        for seg in groups[1:]:
+            h = merge(h, seg, counter)
+        return h, counter.row_visits
+
+    @staticmethod
+    def fold(segs):
+        counter, h = MergeCostCounter(), segs[0]
+        for seg in segs[1:]:
+            h = merge(seg, h, counter)
+        return h, counter.row_visits
+
+    @pytest.mark.parametrize("n", NS)
+    def test_schedules_match_references(self, problem, n):
+        g, ind, leaves = problem
+        segs = [run.segments for run in leaves[:n]]
+        sims = sum(run.simulations_used for run in leaves[:n])
+        # difference-array sum: add at lo, subtract at hi + 1, cumsum
+        diff = np.zeros(g.m + 1, dtype=np.int64)
+        for seg in segs:
+            np.add.at(diff, seg.lo - 1, seg.value)
+            np.subtract.at(diff, seg.hi, seg.value)
+        counts = np.cumsum(diff)[:-1]
+        for algo, reference in ((hsra, self.level_tree), (ssra, self.fold)):
+            h, rep = algo(n, g, ind, self.D, seed=self.SEED)
+            ref_h, ref_visits = reference(segs)
+            assert h.rows == ref_h.rows
+            assert rep.merge_row_visits == ref_visits
+            assert rep.total_simulations == sims
+            assert np.array_equal(h.dense(), counts)
+
+    def test_memory_does_not_grow_with_n(self):
+        g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
+        ind = layered_oracle(20, 11, 19)
+        hsra(16, g, ind, self.D)  # first-call allocations out of the way
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                hsra(n, g, ind, self.D)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) <= 2 * peak(256)
+
+
 class TestChernoff:
     def test_published_sizes(self):
         assert chernoff_n(0.05, 0.05) == 738
@@ -179,6 +264,10 @@ class TestChernoff:
             chernoff_n(0.0, 0.5)
         with pytest.raises(OutOfRangeError):
             chernoff_n(0.5, 1.5)
+
+    def test_error_is_the_gridspec_class(self):
+        with pytest.raises(gridspec.OutOfRangeError):
+            chernoff_n(0.0, 0.5)
 
 
 class TestCurve:
