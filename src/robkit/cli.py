@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -57,9 +58,36 @@ _NORMS = {"l1": NormKind.L1, "l2": NormKind.L2, "linf": NormKind.LINF}
 _SCHEMES = {"uniform": GridScheme.UNIFORM, "geometric": GridScheme.GEOMETRIC}
 
 
-def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
-    """Build (config, report); config is None when the report has errors."""
+def _number(report: ValidationReport, field: str, value, kind=float):
+    """value as a finite `kind`; None when absent, or with a config error
+    naming the field when it is not a number."""
+    if value is None:
+        return None
+    try:
+        num = kind(value)
+        if math.isfinite(num):
+            return num
+    except (TypeError, ValueError, OverflowError):
+        pass
+    report.errors.append(f"{field}: must be a finite number, got {value!r}")
+    return None
+
+
+def _section(report: ValidationReport, raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if isinstance(value, dict):
+        return value
+    report.errors.append(f"{key}: must be an object, got {type(value).__name__}")
+    return {}
+
+
+def parse_config(raw, overrides: argparse.Namespace | None = None):
+    """Build (config, report); config is None when the report has errors.
+    Never raises: every malformed field becomes an error naming it."""
     report = ValidationReport()
+    if not isinstance(raw, dict):
+        report.errors.append(f"top level: must be an object, got {type(raw).__name__}")
+        return None, report
     system = raw.get("system")
     if not isinstance(system, dict) or "kind" not in system:
         report.errors.append("system: need an object with a 'kind' field")
@@ -70,33 +98,38 @@ def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
     if norm is None:
         report.errors.append(f"norm: unknown kind {norm_name!r}")
 
-    grid = raw.get("grid", {})
+    grid = _section(report, raw, "grid")
     scheme = _SCHEMES.get(str(grid.get("scheme", "geometric")).lower())
     if scheme is None:
         report.errors.append(f"grid.scheme: unknown scheme {grid.get('scheme')!r}")
-    lam = float(grid.get("lambda", 0.0))
-    a = float(grid.get("a", 0.0))
-    if lam <= 1:
+    lam = _number(report, "grid.lambda", grid.get("lambda", 0.0))
+    a = _number(report, "grid.a", grid.get("a", 0.0))
+    if lam is not None and lam <= 1:
         report.errors.append("grid.lambda: must be > 1")
-    if a <= 0:
+    if a is not None and a <= 0:
         report.errors.append("grid.a: must be > 0")
     m = grid.get("m")
     grid_eps = grid.get("epsilon")
     if (m is None) == (grid_eps is None):
         report.errors.append("grid: exactly one of 'm' or 'epsilon' is required")
-    if m is not None and int(m) < 2:
+    m = _number(report, "grid.m", m, int)
+    grid_eps = _number(report, "grid.epsilon", grid_eps)
+    if m is not None and m < 2:
         report.errors.append("grid.m: must be >= 2")
-    if grid_eps is not None and not 0 < float(grid_eps) < 1:
+    if grid_eps is not None and not 0 < grid_eps < 1:
         report.errors.append("grid.epsilon: must be in (0,1)")
 
-    sample = raw.get("sample", {})
+    sample = _section(report, raw, "sample")
     n = sample.get("n")
     s_eps, s_delta = sample.get("epsilon"), sample.get("delta")
     if (n is None) == (s_eps is None and s_delta is None):
         report.errors.append("sample: exactly one of 'n' or ('epsilon','delta') is required")
     elif n is None and (s_eps is None or s_delta is None):
         report.errors.append("sample: 'epsilon' and 'delta' must be given together")
-    if n is not None and int(n) < 1:
+    n = _number(report, "sample.n", n, int)
+    s_eps = _number(report, "sample.epsilon", s_eps)
+    s_delta = _number(report, "sample.delta", s_delta)
+    if n is not None and n < 1:
         report.errors.append("sample.n: must be >= 1")
 
     algorithm = raw.get("algorithm", "hsra")
@@ -111,6 +144,7 @@ def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
     if seed is None:
         seed = 0
         report.warnings.append("seed: missing, defaulted to 0")
+    seed = _number(report, "seed", seed, int)
 
     emit_bbp = bool(raw.get("emit_bbp", False))
     if overrides is not None and getattr(overrides, "emit_bbp", False):
@@ -119,6 +153,8 @@ def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
     out_dir = raw.get("out", ".")
     if overrides is not None and getattr(overrides, "out", None):
         out_dir = overrides.out
+    if not isinstance(out_dir, str):
+        report.errors.append(f"out: must be a path string, got {out_dir!r}")
 
     if not report.ok:
         return None, report
@@ -128,14 +164,14 @@ def parse_config(raw: dict, overrides: argparse.Namespace | None = None):
         grid_scheme=scheme,
         lam=lam,
         a=a,
-        m=int(m) if m is not None else None,
-        grid_eps=float(grid_eps) if grid_eps is not None else None,
-        n_samples=int(n) if n is not None else None,
-        sample_eps=float(s_eps) if s_eps is not None else None,
-        sample_delta=float(s_delta) if s_delta is not None else None,
+        m=m,
+        grid_eps=grid_eps,
+        n_samples=n,
+        sample_eps=s_eps,
+        sample_delta=s_delta,
         algorithm=algorithm,
         emit_bbp=emit_bbp,
-        seed=int(seed),
+        seed=seed,
         out_dir=Path(out_dir),
     )
     return cfg, report

@@ -26,6 +26,7 @@ from .uncsample import (
 )
 
 BOUNDARY_MARGIN = 1e-9  # eigenvalues this close to the region edge count as outside
+SOLVE_BLOCK_BYTES = 1 << 19  # bounds the complex s*I - A stack of one transfer_at solve
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,20 @@ class LtiPlant:
     def n_states(self) -> int:
         return self.a_mat.shape[0]
 
-    def transfer_at(self, s: complex) -> np.ndarray:
-        """M(s), evaluated by a dense solve."""
+    def transfer_at(self, s) -> np.ndarray:
+        """M(s) by a dense solve: a matrix for a scalar s, and the (P, out, in)
+        stack for a 1-D array of P points, solved in blocks of at most
+        SOLVE_BLOCK_BYTES of s*I - A."""
+        s = np.asarray(s)
         n = self.n_states
-        return self.c_mat @ np.linalg.solve(
-            s * np.eye(n) - self.a_mat, self.b_mat
-        )
+        flat = s.reshape(-1)
+        step = max(1, SOLVE_BLOCK_BYTES // (16 * n * n))
+        blocks = [
+            self.c_mat
+            @ np.linalg.solve(flat[k : k + step, None, None] * np.eye(n) - self.a_mat, self.b_mat)
+            for k in range(0, max(flat.size, 1), step)
+        ]
+        return np.concatenate(blocks).reshape(s.shape + blocks[0].shape[1:])
 
 
 def region_stability(plant: LtiPlant, region: PoleRegion) -> Indicator:

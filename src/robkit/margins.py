@@ -5,6 +5,10 @@ value of M(s) (the smallest destabilizing complex block).  real_margin: the
 analogous real-block margin, using the second singular value of the
 [[Re M, -g Im M], [g^-1 Im M, Re M]] matrix minimized over g in (0, 1], which
 is unimodal in g.
+
+Both sweeps evaluate M(s) for all boundary points with one stacked solve and
+the objective on the whole stack; the golden-section search over g runs for
+all points in lockstep, one stacked SVD per iteration.
 """
 
 from __future__ import annotations
@@ -57,58 +61,93 @@ def _check_nominal(plant: LtiPlant, region: PoleRegion) -> None:
         raise NominalInstabilityError("nominal poles are not inside the region")
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
+def _golden_max(f, lo, hi, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of independent lanes in lockstep.
+
+    lo and hi are 1-D arrays of interval ends, one per lane; f(x, lanes)
+    returns the objective of lanes `lanes` at the points x.  Each lane follows
+    the scalar update and stopping rule and freezes once its own interval is
+    below tolerance, so f is called once per iteration for all live lanes.
+    Returns the (argmax, max) arrays.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    live = np.arange(lo.size)
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol * max(1.0, abs(lo) + abs(hi)):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    f1, f2 = f(x1, live), f(x2, live)
+    while True:
+        lo_l, hi_l = lo[live], hi[live]
+        live = live[hi_l - lo_l > tol * np.maximum(1.0, np.abs(lo_l) + np.abs(hi_l))]
+        if not live.size:
+            break
+        up = f1[live] < f2[live]
+        u, d = live[up], live[~up]
+        lo[u], x1[u], f1[u] = x1[u], x2[u], f2[u]
+        x2[u] = lo[u] + GOLDEN * (hi[u] - lo[u])
+        hi[d], x2[d], f2[d] = x2[d], x1[d], f1[d]
+        x1[d] = hi[d] - GOLDEN * (hi[d] - lo[d])
+        f_new = f(np.where(up, x2[live], x1[live]), live)
+        f2[u], f1[d] = f_new[up], f_new[~up]
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
-def _sigma_max(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, ord=2))
+def _sigma_max(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (P, out, in) stack."""
+    return np.linalg.norm(m, ord=2, axis=(-2, -1))
 
 
-def _real_block_sigma2(m_val: np.ndarray, gamma: float) -> float:
-    re, im = m_val.real, m_val.imag
-    block = np.block([[re, -gamma * im], [im / gamma, re]])
-    return float(np.linalg.svd(block, compute_uv=False)[1])
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """exp through math.exp: NumPy's vectorized exp differs from libm in the
+    last bit for a few percent of arguments, which on a flat objective moves
+    the golden-section path and gamma by up to the search tolerance."""
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _real_objective(m_val: np.ndarray) -> tuple[float, float]:
-    """inf over gamma in (0,1] of sigma_2 of the real block matrix."""
-    if np.max(np.abs(m_val.imag)) < 1e-14:
-        sv = np.linalg.svd(m_val.real, compute_uv=False)
-        duplicated = np.sort(np.concatenate([sv, sv]))[::-1]
-        return float(duplicated[1]), 1.0
-    g, val = _golden_max(
-        lambda lg: -_real_block_sigma2(m_val, math.exp(lg)),
-        math.log(GAMMA_FLOOR),
-        0.0,
-        tol=1e-8,
+def _real_objective(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a (P, out, in) stack: inf over gamma in (0,1] of sigma_2
+    of the real block matrix, and the gamma attaining it."""
+    re, im = m.real, m.imag
+    values = np.empty(len(m))
+    gammas = np.ones(len(m))
+    real = np.max(np.abs(im), axis=(-2, -1)) < 1e-14
+    # the block matrix is Re M twice: sigma_2 of the duplicated spectrum is sigma_1
+    values[real] = np.linalg.svd(re[real], compute_uv=False)[:, 0]
+    lanes = np.flatnonzero(~real)
+    re, im = re[lanes], im[lanes]
+
+    def neg_sigma2(log_gamma, live):
+        g = _libm_exp(log_gamma)[:, None, None]
+        r, i = re[live], im[live]
+        block = np.concatenate(
+            (np.concatenate((r, -g * i), axis=-1), np.concatenate((i / g, r), axis=-1)),
+            axis=-2,
+        )
+        return -np.linalg.svd(block, compute_uv=False)[:, 1]
+
+    log_g, neg = _golden_max(
+        neg_sigma2, np.full(lanes.size, math.log(GAMMA_FLOOR)), np.zeros(lanes.size), tol=1e-8
     )
-    return -val, math.exp(g)
+    values[lanes] = -neg
+    gammas[lanes] = _libm_exp(log_g)
+    return values, gammas
 
 
 def _sweep(plant, region, objective, n_points, f_range):
+    """Boundary supremum of a stacked objective: every grid point at once,
+    then a golden-section refinement around the best one."""
     ts, to_s = _boundary_points(region, n_points, f_range)
-    vals = np.array([objective(plant.transfer_at(to_s(t))) for t in ts])
+    vals = objective(plant.transfer_at(to_s(ts)))
     best = int(np.argmax(vals))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]
-    t_star, v_star = _golden_max(lambda t: objective(plant.transfer_at(to_s(t))), lo, hi)
-    if vals[best] >= v_star:
-        t_star, v_star = ts[best], vals[best]
-    return float(t_star), float(v_star)
+    t_star, v_star = _golden_max(
+        lambda t, _: objective(plant.transfer_at(to_s(t))), [lo], [hi]
+    )
+    if vals[best] >= v_star[0]:
+        return float(ts[best]), float(vals[best])
+    return float(t_star[0]), float(v_star[0])
 
 
 def complex_margin(
@@ -140,8 +179,8 @@ def real_margin(
     )
     if sup <= 0:
         return MarginResult(math.inf, "real", t_star, 1.0)
-    _, gamma = _real_objective(plant.transfer_at(boundary_point(region, t_star)))
-    return MarginResult(1.0 / sup, "real", t_star, gamma)
+    _, gamma = _real_objective(plant.transfer_at([boundary_point(region, t_star)]))
+    return MarginResult(1.0 / sup, "real", t_star, float(gamma[0]))
 
 
 def complex_margin_bruteforce(
@@ -153,8 +192,7 @@ def complex_margin_bruteforce(
     """Dense-grid oracle for the complex margin (no refinement step)."""
     _check_nominal(plant, region)
     ts, to_s = _boundary_points(region, n_points, f_range)
-    sup = max(_sigma_max(plant.transfer_at(to_s(t))) for t in ts)
-    return 1.0 / sup
+    return 1.0 / float(np.max(_sigma_max(plant.transfer_at(to_s(ts)))))
 
 
 def destabilizing_delta(

@@ -87,6 +87,8 @@ def radial_sampling(
         radius = gen.uniform(0.0, g.radii[p - 1])
         try:
             val = int(indicator(scale(u, radius)))
+            if val & ~1:  # anything but 0 or 1
+                raise ValueError(f"indicator returned {val}, not 0 or 1")
         except Exception as exc:
             if hasattr(exc, "add_note"):
                 exc.add_note(

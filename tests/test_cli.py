@@ -110,6 +110,42 @@ class TestRun:
         assert "runtime error: boom" in err
         assert "indicator failed on direction 1 at radius" in err
 
+    def test_non_binary_indicator_value_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            indicators, "layered_oracle", lambda *a: indicators.Indicator(lambda d: 2, "two")
+        )
+        cfg = layered_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "indicator returned 2, not 0 or 1" in err
+        assert "indicator failed on direction 1 at radius" in err
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("grid.lambda", {"grid": {"scheme": "geometric", "lambda": "x", "a": 1.0, "m": 25}}),
+            ("grid.m", {"grid": {"scheme": "geometric", "lambda": 2.5, "a": 1.0, "m": [3]}}),
+            ("grid.a", {"grid": {"scheme": "geometric", "lambda": 2.5, "a": "NaN", "m": 25}}),
+            ("sample.n", {"sample": {"n": "many"}}),
+            ("seed", {"seed": "x"}),
+            ("grid", {"grid": [2.5]}),
+            ("out", {"out": 5}),
+        ],
+    )
+    def test_malformed_field_is_config_error(
+        self, tmp_path, capsys, monkeypatch, field, overrides
+    ):
+        monkeypatch.chdir(tmp_path)  # no --out, so that "out" is read from the config
+        cfg = layered_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"config error: {field}: must be" in capsys.readouterr().err
+
+    def test_non_object_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error: top level: must be an object, got list" in capsys.readouterr().err
+
     def test_chernoff_sizing_from_eps_delta(self, tmp_path):
         cfg = layered_config(tmp_path, sample={"epsilon": 0.2, "delta": 0.2})
         out = tmp_path / "out"

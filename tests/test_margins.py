@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from robkit import indicators
 from robkit.indicators import Disk, HalfPlane, LtiPlant
 from robkit.margins import (
+    GAMMA_FLOOR,
+    GOLDEN,
     MarginResult,
     NominalInstabilityError,
+    _boundary_points,
+    _real_objective,
     complex_margin,
     complex_margin_bruteforce,
     destabilizing_delta,
@@ -20,6 +27,78 @@ def random_stable_plant(rng, n, n_in=2, n_out=2):
         rng.standard_normal((n, n_in)),
         rng.standard_normal((n_out, n)),
     )
+
+
+def random_schur_plant(rng, n, n_in=2, n_out=2):
+    """Random plant with every pole inside the unit disk."""
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.2, 0.9) / np.max(np.abs(np.linalg.eigvals(a)))
+    return LtiPlant(a, rng.standard_normal((n, n_in)), rng.standard_normal((n_out, n)))
+
+
+def scalar_golden_max(f, lo, hi, tol):
+    """One-point golden-section maximization: the reference for the lanes."""
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol * max(1.0, abs(lo) + abs(hi)):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def scalar_real_objective(m_val):
+    """inf over gamma of sigma_2 of the real block matrix at one point."""
+    re, im = m_val.real, m_val.imag
+    if np.max(np.abs(im)) < 1e-14:
+        sv = np.linalg.svd(re, compute_uv=False)
+        return float(np.sort(np.concatenate([sv, sv]))[::-1][1]), 1.0
+
+    def neg_sigma2(lg):
+        g = math.exp(lg)
+        block = np.block([[re, -g * im], [im / g, re]])
+        return -float(np.linalg.svd(block, compute_uv=False)[1])
+
+    lg, val = scalar_golden_max(neg_sigma2, math.log(GAMMA_FLOOR), 0.0, 1e-8)
+    return -val, math.exp(lg)
+
+
+class TestStackedObjective:
+    @pytest.mark.parametrize(
+        "region, make_plant",
+        [(HalfPlane(0.0), random_stable_plant), (Disk(1.0), random_schur_plant)],
+    )
+    def test_real_objective_matches_pointwise_search(self, region, make_plant):
+        rng = np.random.default_rng(11)
+        for n, n_in, n_out in ((2, 2, 2), (4, 2, 2), (3, 1, 3), (5, 3, 2)):
+            plant = make_plant(rng, n, n_in, n_out)
+            ts, to_s = _boundary_points(region, 96)
+            stack = plant.transfer_at(to_s(ts))
+            values, gammas = _real_objective(stack)
+            # omega = 0 and theta = 0, pi take the real-M branch
+            real_points = [0, -1] if isinstance(region, Disk) else [0]
+            assert np.all(gammas[real_points] == 1.0)
+            for m_val, value, gamma in zip(stack, values, gammas):
+                ref_value, ref_gamma = scalar_real_objective(m_val)
+                assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+                assert gamma == pytest.approx(ref_gamma, rel=1e-12, abs=0)
+
+    def test_transfer_at_stack_equals_pointwise(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        plant = random_stable_plant(rng, 4, 3, 2)
+        s = 0.1 + 1j * np.geomspace(1e-2, 1e2, 11)
+        ref = np.stack([plant.transfer_at(complex(x)) for x in s])
+        assert plant.transfer_at(complex(s[0])).shape == (2, 3)
+        assert np.array_equal(plant.transfer_at(s), ref)
+        # blocks of 3 points: several solves and a short last block
+        monkeypatch.setattr(indicators, "SOLVE_BLOCK_BYTES", 3 * 16 * 4 * 4)
+        assert np.array_equal(plant.transfer_at(s), ref)
 
 
 class TestScalarExamples:
@@ -52,6 +131,12 @@ class TestScalarExamples:
         # sup over the unit circle of |1/s| is 1
         assert res.value == pytest.approx(1.0, rel=1e-6)
 
+    def test_disk_region_real_margin(self):
+        # M = 1/z is real only at z = +-1, where a real delta = +-1 moves the pole there
+        plant = LtiPlant([[0.0]], [[1.0]], [[1.0]])
+        res = real_margin(plant, Disk(1.0))
+        assert res.value == pytest.approx(1.0, rel=1e-6)
+
 
 class TestRandomSystems:
     def test_real_margin_dominates_complex(self):
@@ -60,6 +145,14 @@ class TestRandomSystems:
             plant = random_stable_plant(rng, int(rng.integers(2, 6)))
             rc = complex_margin(plant, HalfPlane(0.0), n_points=512)
             rr = real_margin(plant, HalfPlane(0.0), n_points=128)
+            assert rr.value >= rc.value * (1 - 1e-9)
+
+    def test_real_margin_dominates_complex_on_disk(self):
+        rng = np.random.default_rng(9)
+        for _ in range(8):
+            plant = random_schur_plant(rng, int(rng.integers(1, 5)))
+            rc = complex_margin(plant, Disk(1.0), n_points=512)
+            rr = real_margin(plant, Disk(1.0), n_points=128)
             assert rr.value >= rc.value * (1 - 1e-9)
 
     def test_bruteforce_agreement(self):

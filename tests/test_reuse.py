@@ -87,6 +87,13 @@ class TestRadialSampling:
                 unit_direction(), g, Indicator(broken, "broken"), ScriptedRng([0.5])
             )
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_non_binary_indicator_value_rejected(self, value):
+        g = build_grid(GridScheme.UNIFORM, 2.0, 1.0, 3)
+        with pytest.raises(ValueError, match="not 0 or 1") as info:
+            hsra(8, g, Indicator(lambda d: value, "bad"), 3, seed=1)
+        assert "indicator failed on direction 1 at radius" in info.value.__notes__[0]
+
     def test_value_at_index_uses_uniform_radius_on_prefix(self):
         # the radius attached to index i must be distributed U[0, r_i]:
         # pooled over many directions, KS per index against the uniform law
