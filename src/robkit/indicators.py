@@ -96,9 +96,12 @@ class LtiPlant:
         n = self.n_states
         flat = s.reshape(-1)
         step = max(1, SOLVE_BLOCK_BYTES // (16 * n * n))
+        # B as a (1, n, in) stack: NumPy < 2 reads a right-hand side with one
+        # dimension fewer than the (P, n, n) stack as a stack of vectors
+        rhs = self.b_mat[None]
         blocks = [
             self.c_mat
-            @ np.linalg.solve(flat[k : k + step, None, None] * np.eye(n) - self.a_mat, self.b_mat)
+            @ np.linalg.solve(flat[k : k + step, None, None] * np.eye(n) - self.a_mat, rhs)
             for k in range(0, max(flat.size, 1), step)
         ]
         return np.concatenate(blocks).reshape(s.shape + blocks[0].shape[1:])

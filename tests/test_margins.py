@@ -89,16 +89,24 @@ class TestStackedObjective:
                 assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
                 assert gamma == pytest.approx(ref_gamma, rel=1e-12, abs=0)
 
-    def test_transfer_at_stack_equals_pointwise(self, monkeypatch):
+    # (4, 4, 2) has as many inputs as states, where a 2-D right-hand side of
+    # a stacked solve is ambiguous
+    @pytest.mark.parametrize("n, n_in, n_out", [(4, 3, 2), (4, 4, 2)])
+    def test_transfer_at_stack_equals_pointwise(self, monkeypatch, n, n_in, n_out):
         rng = np.random.default_rng(12)
-        plant = random_stable_plant(rng, 4, 3, 2)
+        plant = random_stable_plant(rng, n, n_in, n_out)
         s = 0.1 + 1j * np.geomspace(1e-2, 1e2, 11)
-        ref = np.stack([plant.transfer_at(complex(x)) for x in s])
-        assert plant.transfer_at(complex(s[0])).shape == (2, 3)
-        assert np.array_equal(plant.transfer_at(s), ref)
+        ref = np.stack(
+            [plant.c_mat @ np.linalg.solve(x * np.eye(n) - plant.a_mat, plant.b_mat) for x in s]
+        )
+        scalar = plant.transfer_at(complex(s[0]))
+        assert scalar.shape == (n_out, n_in)
+        np.testing.assert_allclose(scalar, ref[0], rtol=1e-13, atol=0)
+        stacked = plant.transfer_at(s)
+        np.testing.assert_allclose(stacked, ref, rtol=1e-13, atol=0)
         # blocks of 3 points: several solves and a short last block
-        monkeypatch.setattr(indicators, "SOLVE_BLOCK_BYTES", 3 * 16 * 4 * 4)
-        assert np.array_equal(plant.transfer_at(s), ref)
+        monkeypatch.setattr(indicators, "SOLVE_BLOCK_BYTES", 3 * 16 * n * n)
+        assert np.array_equal(plant.transfer_at(s), stacked)
 
 
 class TestScalarExamples:
