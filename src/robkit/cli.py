@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import indicators, reuse, xform
-from .gridspec import GridScheme, build_grid, choose_m, predict_meq
-from .indicators import Disk, HalfPlane, LtiPlant
+from .gridspec import GridScheme, build_grid, choose_m
+from .indicators import Disk, HalfPlane, LtiPlant, three_parameter_servo
 from .uncsample import BlockShape, NormKind
 
 CSV_HEADER = "index,r,p_script_hat,p_script_inf,p_bb_hat,p_bb_inf"
@@ -38,16 +38,17 @@ class ValidationReport:
 
 @dataclass
 class ExperimentConfig:
-    system: dict
+    """A parsed config: the built indicator and a fully sized run."""
+
+    indicator: indicators.Indicator
+    d: int
+    shape: BlockShape | None
     norm: NormKind
     grid_scheme: GridScheme
     lam: float
     a: float
-    m: int | None
-    grid_eps: float | None
-    n_samples: int | None
-    sample_eps: float | None
-    sample_delta: float | None
+    m: int
+    n: int
     algorithm: str
     emit_bbp: bool
     seed: int
@@ -56,6 +57,11 @@ class ExperimentConfig:
 
 _NORMS = {"l1": NormKind.L1, "l2": NormKind.L2, "linf": NormKind.LINF}
 _SCHEMES = {"uniform": GridScheme.UNIFORM, "geometric": GridScheme.GEOMETRIC}
+_KINDS = ("layered", "rank_one", "state_space", "step_servo", "servo_stability")
+# region kind -> (class, its parameter, the parameter's default)
+_REGIONS = {"half_plane": (HalfPlane, "sigma_max", 0.0), "disk": (Disk, "radius", 1.0)}
+_BLOCKS = {"real": BlockShape.real_matrix, "complex": BlockShape.complex_matrix}
+_LIMITS = (("rise_max", 0.25), ("settle_max", 3.5), ("overshoot_max", 0.7))
 
 
 def _number(report: ValidationReport, field: str, value, kind=float):
@@ -73,55 +79,132 @@ def _number(report: ValidationReport, field: str, value, kind=float):
     return None
 
 
-def _section(report: ValidationReport, raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
+def _field(report: ValidationReport, section: dict, field: str, kind=float, default=None):
+    """`_number` of the section's value for the last part of the dotted field;
+    `default` when absent, and an error when absent without a default."""
+    value = section.get(field.rsplit(".", 1)[-1])
+    if value is None:
+        if default is None:
+            report.errors.append(f"{field}: required")
+        return default
+    return _number(report, field, value, kind)
+
+
+def _at_least(report: ValidationReport, field: str, value, low) -> None:
+    if value is not None and value < low:
+        report.errors.append(f"{field}: must be >= {low}")
+
+
+def _section(report: ValidationReport, field: str, value) -> dict:
     if isinstance(value, dict):
         return value
-    report.errors.append(f"{key}: must be an object, got {type(value).__name__}")
+    report.errors.append(f"{field}: must be an object, got {type(value).__name__}")
     return {}
 
 
-def parse_config(raw, overrides: argparse.Namespace | None = None):
+def _choice(report: ValidationReport, field: str, value, options):
+    """value when it is one of the options (a tuple or a dict's keys), else None."""
+    if isinstance(value, str) and value in options:
+        return value
+    report.errors.append(f"{field}: must be one of {', '.join(options)}, got {value!r}")
+    return None
+
+
+def _matrix(report: ValidationReport, system: dict, key: str):
+    if system.get(key) is None:
+        report.errors.append(f"system.{key}: required")
+        return None
+    try:
+        mat = np.array(system[key], dtype=float)
+        if mat.size and mat.ndim <= 2 and np.all(np.isfinite(mat)):
+            return mat
+    except (TypeError, ValueError, OverflowError):
+        pass
+    report.errors.append(f"system.{key}: must be a non-empty matrix of finite numbers")
+    return None
+
+
+def build_indicator(report: ValidationReport, system: dict):
+    """(indicator, uncertainty dimension, block shape) for a system spec, or
+    None with config errors naming the malformed fields.  Rejections by the
+    constructors themselves are reported against `system`."""
+    errors = len(report.errors)
+    kind = _choice(report, "system.kind", system.get("kind"), _KINDS)
+    if kind == "layered":
+        ml, i, j = (_field(report, system, f"system.{k}", int) for k in ("m_layers", "i", "j"))
+        d = _field(report, system, "system.d", int, 2)
+        _at_least(report, "system.d", d, 1)
+        make = lambda: (indicators.layered_oracle(ml, i, j), d, None)
+    elif kind == "rank_one":
+        k = _field(report, system, "system.k", int)
+        _at_least(report, "system.k", k, 1)
+        make = lambda: (indicators.rank_one_oracle(k), k * k, None)
+    elif kind == "state_space":
+        a, b, c = (_matrix(report, system, key) for key in "abc")
+        block = _choice(report, "system.block", system.get("block", "real"), _BLOCKS)
+        region = _section(report, "system.region", system.get("region", {}))
+        region_kind = region.get("kind", "half_plane")
+        if _choice(report, "system.region.kind", region_kind, _REGIONS):
+            cls, key, default = _REGIONS[region_kind]
+            param = _field(report, region, f"system.region.{key}", float, default)
+
+        def make():
+            plant = LtiPlant(a, b, c)
+            shape = _BLOCKS[block](plant.b_mat.shape[1], plant.c_mat.shape[0])
+            return indicators.region_stability(plant, cls(param)), shape.dim, shape
+
+    elif kind == "step_servo":
+        limits = [_field(report, system, f"system.{k}", float, v) for k, v in _LIMITS]
+        make = lambda: (indicators.step_spec(three_parameter_servo, *limits), 3, None)
+    elif kind == "servo_stability":
+        make = lambda: (indicators.servo_stability_indicator(), 3, None)
+    if len(report.errors) > errors:
+        return None
+    try:
+        return make()
+    except ValueError as exc:
+        report.errors.append(f"system: {exc}")
+        return None
+
+
+def _size(report: ValidationReport, field: str, sizer, *args):
+    """sizer(*args), or None with a config error naming the field on overflow."""
+    try:
+        return sizer(*args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        report.errors.append(f"{field}: gives a size that cannot be computed ({exc})")
+        return None
+
+
+def parse_config(raw):
     """Build (config, report); config is None when the report has errors.
-    Never raises: every malformed field becomes an error naming it."""
+    Never raises: every malformed field becomes an error naming it.  The
+    indicator is built and m and N are resolved here, not at run time."""
     report = ValidationReport()
     if not isinstance(raw, dict):
         report.errors.append(f"top level: must be an object, got {type(raw).__name__}")
         return None, report
-    system = raw.get("system")
-    if not isinstance(system, dict) or "kind" not in system:
-        report.errors.append("system: need an object with a 'kind' field")
-        system = {"kind": "?"}
+    built = build_indicator(report, _section(report, "system", raw.get("system", {})))
+    norm = _choice(report, "norm", str(raw.get("norm", "l2")).lower(), _NORMS)
 
-    norm_name = raw.get("norm", "l2")
-    norm = _NORMS.get(str(norm_name).lower())
-    if norm is None:
-        report.errors.append(f"norm: unknown kind {norm_name!r}")
-
-    grid = _section(report, raw, "grid")
-    scheme = _SCHEMES.get(str(grid.get("scheme", "geometric")).lower())
-    if scheme is None:
-        report.errors.append(f"grid.scheme: unknown scheme {grid.get('scheme')!r}")
-    lam = _number(report, "grid.lambda", grid.get("lambda", 0.0))
-    a = _number(report, "grid.a", grid.get("a", 0.0))
+    grid = _section(report, "grid", raw.get("grid", {}))
+    scheme_name = str(grid.get("scheme", "geometric")).lower()
+    scheme = _choice(report, "grid.scheme", scheme_name, _SCHEMES)
+    lam = _field(report, grid, "grid.lambda")
+    a = _field(report, grid, "grid.a")
     if lam is not None and lam <= 1:
         report.errors.append("grid.lambda: must be > 1")
     if a is not None and a <= 0:
         report.errors.append("grid.a: must be > 0")
-    m = grid.get("m")
-    grid_eps = grid.get("epsilon")
+    m, grid_eps = grid.get("m"), grid.get("epsilon")
     if (m is None) == (grid_eps is None):
         report.errors.append("grid: exactly one of 'm' or 'epsilon' is required")
     m = _number(report, "grid.m", m, int)
     grid_eps = _number(report, "grid.epsilon", grid_eps)
-    if m is not None and m < 2:
-        report.errors.append("grid.m: must be >= 2")
-    if grid_eps is not None and not 0 < grid_eps < 1:
-        report.errors.append("grid.epsilon: must be in (0,1)")
+    _at_least(report, "grid.m", m, 2)
 
-    sample = _section(report, raw, "sample")
-    n = sample.get("n")
-    s_eps, s_delta = sample.get("epsilon"), sample.get("delta")
+    sample = _section(report, "sample", raw.get("sample", {}))
+    n, s_eps, s_delta = sample.get("n"), sample.get("epsilon"), sample.get("delta")
     if (n is None) == (s_eps is None and s_delta is None):
         report.errors.append("sample: exactly one of 'n' or ('epsilon','delta') is required")
     elif n is None and (s_eps is None or s_delta is None):
@@ -129,148 +212,63 @@ def parse_config(raw, overrides: argparse.Namespace | None = None):
     n = _number(report, "sample.n", n, int)
     s_eps = _number(report, "sample.epsilon", s_eps)
     s_delta = _number(report, "sample.delta", s_delta)
-    if n is not None and n < 1:
-        report.errors.append("sample.n: must be >= 1")
+    _at_least(report, "sample.n", n, 1)
+    tolerances = {"grid.epsilon": grid_eps, "sample.epsilon": s_eps, "sample.delta": s_delta}
+    for name, value in tolerances.items():
+        if value is not None and not 0 < value < 1:
+            report.errors.append(f"{name}: must be in (0,1)")
 
-    algorithm = raw.get("algorithm", "hsra")
-    if overrides is not None and getattr(overrides, "algo", None):
-        algorithm = overrides.algo
-    if algorithm not in ("ssra", "hsra"):
-        report.errors.append(f"algorithm: must be 'ssra' or 'hsra', got {algorithm!r}")
-
-    seed = raw.get("seed")
-    if overrides is not None and getattr(overrides, "seed", None) is not None:
-        seed = overrides.seed
-    if seed is None:
-        seed = 0
+    algorithm = _choice(report, "algorithm", raw.get("algorithm", "hsra"), ("ssra", "hsra"))
+    if raw.get("seed") is None:
         report.warnings.append("seed: missing, defaulted to 0")
-    seed = _number(report, "seed", seed, int)
-
-    emit_bbp = bool(raw.get("emit_bbp", False))
-    if overrides is not None and getattr(overrides, "emit_bbp", False):
-        emit_bbp = True
-
+    seed = _field(report, raw, "seed", int, 0)
     out_dir = raw.get("out", ".")
-    if overrides is not None and getattr(overrides, "out", None):
-        out_dir = overrides.out
     if not isinstance(out_dir, str):
         report.errors.append(f"out: must be a path string, got {out_dir!r}")
 
+    if report.ok:  # every sizing input is valid; only the arithmetic can fail
+        if m is None:
+            m = _size(report, "grid.epsilon", choose_m, _SCHEMES[scheme], lam, grid_eps)
+        if n is None:
+            n = _size(report, "sample.epsilon", reuse.chernoff_n, s_eps, s_delta)
     if not report.ok:
         return None, report
     cfg = ExperimentConfig(
-        system=system,
-        norm=norm,
-        grid_scheme=scheme,
-        lam=lam,
-        a=a,
-        m=m,
-        grid_eps=grid_eps,
-        n_samples=n,
-        sample_eps=s_eps,
-        sample_delta=s_delta,
-        algorithm=algorithm,
-        emit_bbp=emit_bbp,
-        seed=seed,
-        out_dir=Path(out_dir),
+        *built, _NORMS[norm], _SCHEMES[scheme], lam, a, m, n, algorithm,
+        bool(raw.get("emit_bbp", False)), seed, Path(out_dir),
     )
     return cfg, report
 
 
-def build_indicator(system: dict):
-    """Indicator, uncertainty dimension, and block shape for a system spec."""
-    kind = system["kind"]
-    if kind == "layered":
-        ml, i, j = int(system["m_layers"]), int(system["i"]), int(system["j"])
-        d = int(system.get("d", 2))
-        return indicators.layered_oracle(ml, i, j), d, None
-    if kind == "rank_one":
-        k = int(system["k"])
-        return indicators.rank_one_oracle(k), k * k, None
-    if kind == "state_space":
-        plant = LtiPlant(
-            np.array(system["a"], dtype=float),
-            np.array(system["b"], dtype=float),
-            np.array(system["c"], dtype=float),
-        )
-        reg = system.get("region", {"kind": "half_plane"})
-        if reg.get("kind") == "disk":
-            region = Disk(float(reg.get("radius", 1.0)))
-        else:
-            region = HalfPlane(float(reg.get("sigma_max", 0.0)))
-        rows, cols = plant.b_mat.shape[1], plant.c_mat.shape[0]
-        if system.get("block", "real") == "complex":
-            shape = BlockShape.complex_matrix(rows, cols)
-        else:
-            shape = BlockShape.real_matrix(rows, cols)
-        return indicators.region_stability(plant, region), shape.dim, shape
-    if kind == "step_servo":
-        ind = indicators.step_spec(
-            indicators.three_parameter_servo,
-            float(system.get("rise_max", 0.25)),
-            float(system.get("settle_max", 3.5)),
-            float(system.get("overshoot_max", 0.7)),
-        )
-        return ind, 3, None
-    if kind == "servo_stability":
-        return indicators.servo_stability_indicator(), 3, None
-    raise ValueError(f"unknown system kind {kind!r}")
-
-
-def _bbp_on_grid(curve: reuse.RobustnessCurve, d: int) -> np.ndarray:
-    """Transform the estimated curve to the ball-uniform measure, extending
-    it flat below the first grid point down to ~0 for the integral head."""
-    radii = curve.grid.radii
-    head = np.geomspace(radii[-1] * 1e-4, radii[0], 200, endpoint=False)
-    dense_r = np.concatenate([head, radii])
-    dense_v = np.concatenate([np.full(head.size, curve.values[0]), curve.values])
-    out = xform.bbp_from_scriptp(xform.CurveGrid(dense_r, dense_v, d))
-    return out.values[head.size :]
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    m = cfg.m if cfg.m is not None else choose_m(cfg.grid_scheme, cfg.lam, cfg.grid_eps)
-    grid = build_grid(cfg.grid_scheme, cfg.lam, cfg.a, m)
-    n = (
-        cfg.n_samples
-        if cfg.n_samples is not None
-        else reuse.chernoff_n(cfg.sample_eps, cfg.sample_delta)
-    )
-    indicator, d, shape = build_indicator(cfg.system)
+    grid = build_grid(cfg.grid_scheme, cfg.lam, cfg.a, cfg.m)
     algo = reuse.hsra if cfg.algorithm == "hsra" else reuse.ssra
     t0 = time.perf_counter()
-    h, report = algo(n, grid, indicator, d, cfg.norm, cfg.seed, shape)
-    curve = reuse.estimate_curve(h, n, grid)
-    bbp_vals = bbp_inf = None
+    h, report = algo(cfg.n, grid, cfg.indicator, cfg.d, cfg.norm, cfg.seed, cfg.shape)
+    curve = reuse.estimate_curve(h, cfg.n, grid)
+    columns = [grid.radii, curve.values, curve.inf_values]
     if cfg.emit_bbp:
-        bbp_vals = _bbp_on_grid(curve, d)
-        bbp_inf = np.minimum.accumulate(bbp_vals)
+        bbp = xform.bbp_from_scriptp(xform.CurveGrid(grid.radii, curve.values, cfg.d)).values
+        columns += [bbp, np.minimum.accumulate(bbp)]
     wall = time.perf_counter() - t0
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
-    for i in range(m):
-        cells = [
-            str(i + 1),
-            format(grid.radii[i], ".9g"),
-            format(curve.values[i], ".9g"),
-            format(curve.inf_values[i], ".9g"),
-            format(bbp_vals[i], ".9g") if bbp_vals is not None else "",
-            format(bbp_inf[i], ".9g") if bbp_inf is not None else "",
-        ]
-        lines.append(",".join(cells))
+    for i in range(cfg.m):
+        cells = [format(col[i], ".9g") for col in columns] + [""] * (5 - len(columns))
+        lines.append(",".join([str(i + 1), *cells]))
     (cfg.out_dir / "curve.csv").write_text("\n".join(lines) + "\n")
 
     summary = {
         "seed": cfg.seed,
-        "N": n,
-        "m": m,
+        "N": cfg.n,
+        "m": cfg.m,
         "lambda": cfg.lam,
         "a": cfg.a,
         "algorithm": cfg.algorithm,
         "total_simulations": report.total_simulations,
         "measured_meq": report.measured_meq,
-        "predicted_meq": predict_meq(cfg.grid_scheme, cfg.lam, m),
+        "predicted_meq": report.predicted_meq,
         "merge_row_visits": report.merge_row_visits,
         "decomposition": report.group_sizes,
         "predicted_speedup": report.predicted_speedup,
@@ -280,11 +278,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     return summary
-
-
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def main(argv=None) -> int:
@@ -303,13 +296,20 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        raw = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bytes or digits
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    if args.command == "run" and isinstance(raw, dict):
+        # the run flags override their config keys
+        flags = {"seed": args.seed, "algorithm": args.algo, "out": args.out,
+                 "emit_bbp": args.emit_bbp or None}
+        raw.update((key, value) for key, value in flags.items() if value is not None)
+    cfg, report = parse_config(raw)
+
     if args.command == "validate":
-        _, report = parse_config(raw)
         for msg in report.errors:
             print(f"error: {msg}")
         for msg in report.warnings:
@@ -318,7 +318,6 @@ def main(argv=None) -> int:
             print("config ok")
         return 0
 
-    cfg, report = parse_config(raw, args)
     for msg in report.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     if cfg is None:

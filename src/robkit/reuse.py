@@ -36,7 +36,6 @@ class RadialSampleRun:
 
     segments: SegFun
     simulations_used: int
-    radii_by_index: np.ndarray | None = None
 
 
 @dataclass
@@ -68,7 +67,6 @@ def radial_sampling(
     indicator,
     rng,
     direction_index: int = 0,
-    record_radii: bool = False,
 ) -> RadialSampleRun:
     """Backward sweep over the grid: draw R ~ U[0, r_p], evaluate the
     indicator at U*R, reuse the outcome for every index j with r_j >= R,
@@ -79,7 +77,6 @@ def radial_sampling(
     """
     gen = _as_generator(rng)
     rows: list[list[int]] = []  # built back-to-front; rows[-1] is the first row
-    radii = np.empty(g.m) if record_radii else None
     sims = 0
     p = g.m
     s = -1
@@ -97,8 +94,6 @@ def radial_sampling(
             raise
         sims += 1
         j = locate(g, radius)
-        if record_radii:
-            radii[j - 1 : p] = radius
         if rows and val == s:
             rows[-1][0] = j
         else:
@@ -107,7 +102,7 @@ def radial_sampling(
         p = j - 1
     rows.reverse()
     seg = SegFun.from_rows(g.m, rows)
-    return RadialSampleRun(seg, sims, radii)
+    return RadialSampleRun(seg, sims)
 
 
 def binary_decomposition(n: int) -> list[int]:

@@ -1,15 +1,31 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robkit import indicators
 from robkit.cli import CSV_HEADER, main, parse_config
+from robkit.gridspec import GridScheme, choose_m
+from robkit.reuse import chernoff_n
+from robkit.uncsample import BlockShape
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def layered(**overrides):
+    return {"kind": "layered", "m_layers": 20, "i": 11, "j": 19, "d": 10, **overrides}
 
 
 def layered_config(tmp_path, **overrides):
     cfg = {
-        "system": {"kind": "layered", "m_layers": 20, "i": 11, "j": 19, "d": 10},
+        "system": layered(),
         "norm": "l2",
         "grid": {"scheme": "geometric", "lambda": 2.5, "a": 1.0, "m": 25},
         "sample": {"n": 200},
@@ -20,6 +36,19 @@ def layered_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def state_space(**overrides):
+    system = {
+        "kind": "state_space",
+        "a": [[-1, 0.5], [0, -2]],
+        "b": [[1], [1]],
+        "c": [[1, 0]],
+        "region": {"kind": "half_plane"},
+        "block": "real",
+    }
+    system.update(overrides)
+    return system
 
 
 def read_outputs(out_dir):
@@ -89,10 +118,6 @@ class TestRun:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        cfg = layered_config(tmp_path, system={"kind": "unheard_of"})
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-
     def test_runtime_error_names_direction_and_radius(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -130,6 +155,19 @@ class TestRun:
             ("seed", {"seed": "x"}),
             ("grid", {"grid": [2.5]}),
             ("out", {"out": 5}),
+            ("system.m_layers", {"system": {"kind": "layered", "i": 11, "j": 19}}),
+            ("system.m_layers", {"system": layered(m_layers="x")}),
+            ("system.m_layers", {"system": layered(m_layers=1e400)}),
+            ("system.kind", {"system": {"kind": "unheard_of"}}),
+            ("system.d", {"system": layered(d=0)}),
+            ("system", {"system": state_space(b=[[1], [1], [1]])}),
+            ("system.region", {"system": state_space(region=[1])}),
+            ("sample.epsilon", {"sample": {"epsilon": 5, "delta": 0.05}}),
+            ("sample.epsilon", {"sample": {"epsilon": 1e-200, "delta": 0.05}}),
+            ("system.block", {"system": state_space(block="cmplx")}),
+            ("system.region.kind", {"system": state_space(region={"kind": "disc"})}),
+            ("system.b", {"system": state_space(b=[[[1]], [[1]]])}),
+            ("system.b", {"system": state_space(b=[[], []])}),
         ],
     )
     def test_malformed_field_is_config_error(
@@ -138,7 +176,17 @@ class TestRun:
         monkeypatch.chdir(tmp_path)  # no --out, so that "out" is read from the config
         cfg = layered_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg)]) == 2
-        assert f"config error: {field}: must be" in capsys.readouterr().err
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert f"error: {field}: " in out and "config ok" not in out
+
+    @pytest.mark.parametrize("text", [b'{"seed": ' + b"1" * 5000 + b"}", b"\xff\xfe{}"])
+    def test_undecodable_config_file_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "config error: " in capsys.readouterr().err
 
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -186,3 +234,63 @@ class TestValidate:
         cfg, report = parse_config(raw)
         assert cfg is None
         assert any("grid" in e for e in report.errors)
+
+    def test_parse_config_builds_indicator_and_sizes_run(self):
+        raw = {
+            "system": state_space(block="complex"),
+            "grid": {"scheme": "uniform", "lambda": 2.0, "a": 1.0, "epsilon": 0.05},
+            "sample": {"epsilon": 0.2, "delta": 0.2},
+            "seed": 0,
+        }
+        cfg, report = parse_config(raw)
+        assert report.ok
+        assert cfg.m == choose_m(GridScheme.UNIFORM, 2.0, 0.05)
+        assert cfg.n == chernoff_n(0.2, 0.2)
+        assert (cfg.d, cfg.shape) == (2, BlockShape.complex_matrix(1, 1))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+BASES = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*/config.json"))]
+
+
+@st.composite
+def one_field_replaced(draw):
+    """A valid config with one top-level, system, grid or sample field (its
+    own or a known one) replaced by any JSON value."""
+    raw = copy.deepcopy(draw(st.sampled_from(BASES)))
+    section = draw(st.sampled_from([raw, raw["system"], raw["grid"], raw["sample"]]))
+    known = ["kind", "m_layers", "d", "k", "a", "b", "region", "block", "epsilon", "n", "seed"]
+    section[draw(st.sampled_from(sorted(section) + known))] = draw(JSON_VALUES)
+    return raw
+
+
+class TestConfigFuzz:
+    """parse_config is total and validate never raises.  Nothing here runs a
+    config, so no drawn size is ever allocated."""
+
+    def check(self, raw):
+        cfg, report = parse_config(raw)
+        assert (cfg is not None) == report.ok
+        if cfg is not None:
+            assert cfg.m >= 2 and cfg.n >= 1 and cfg.d >= 1 and cfg.lam > 1 and cfg.a > 0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(raw))
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["validate", "--config", str(path)]) == 0
+        assert ("config ok" in out.getvalue()) == report.ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_value(self, raw):
+        self.check(raw)
+
+    @settings(max_examples=400, deadline=None)
+    @given(one_field_replaced())
+    def test_one_field_replaced(self, raw):
+        self.check(raw)

@@ -97,18 +97,30 @@ class TestRadialSampling:
     def test_value_at_index_uses_uniform_radius_on_prefix(self):
         # the radius attached to index i must be distributed U[0, r_i]:
         # pooled over many directions, KS per index against the uniform law
+        # the radii are recorded by a wrapping indicator (|U*R|_2 = R) and
+        # replayed through the same backward sweep
         g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 12)
         ind = layered_oracle(20, 11, 19)
         collected = {i: [] for i in (0, 5, 11)}
-        from robkit.uncsample import SeededStream, sample_surface
+        radii = []
+
+        def recording(delta):
+            radii.append(float(np.linalg.norm(delta.coords)))
+            return ind(delta)
 
         for k in range(2000):
             u = sample_surface(5, NormKind.L2, SeededStream(77, 2 * k))
-            run = radial_sampling(
-                u, g, ind, SeededStream(77, 2 * k + 1), k, record_radii=True
-            )
+            radii.clear()
+            radial_sampling(u, g, Indicator(recording, "records"), SeededStream(77, 2 * k + 1), k)
+            by_index = np.empty(g.m)
+            p = g.m
+            for radius in radii:
+                j = gridspec.locate(g, radius)
+                by_index[j - 1 : p] = radius
+                p = j - 1
+            assert p == 0
             for i in collected:
-                collected[i].append(run.radii_by_index[i] / g.radii[i])
+                collected[i].append(by_index[i] / g.radii[i])
         for i, vals in collected.items():
             assert kstest(np.array(vals), "uniform").pvalue > 0.001
 
