@@ -62,6 +62,8 @@ _KINDS = ("layered", "rank_one", "state_space", "step_servo", "servo_stability")
 _REGIONS = {"half_plane": (HalfPlane, "sigma_max", 0.0), "disk": (Disk, "radius", 1.0)}
 _BLOCKS = {"real": BlockShape.real_matrix, "complex": BlockShape.complex_matrix}
 _LIMITS = (("rise_max", 0.25), ("settle_max", 3.5), ("overshoot_max", 0.7))
+# adjacent radii must differ by more than this many ulps (see _check_grid_spacing)
+_GRID_STEP_ULPS = 16
 
 
 def _number(report: ValidationReport, field: str, value, kind=float):
@@ -124,17 +126,18 @@ def _matrix(report: ValidationReport, system: dict, key: str):
     return None
 
 
-def build_indicator(report: ValidationReport, system: dict):
+def build_indicator(report: ValidationReport, system: dict, norm: NormKind = NormKind.L2):
     """(indicator, uncertainty dimension, block shape) for a system spec, or
     None with config errors naming the malformed fields.  Rejections by the
-    constructors themselves are reported against `system`."""
+    constructors themselves are reported against `system`.  The layered
+    shells are measured in `norm`, the norm the directions are drawn in."""
     errors = len(report.errors)
     kind = _choice(report, "system.kind", system.get("kind"), _KINDS)
     if kind == "layered":
         ml, i, j = (_field(report, system, f"system.{k}", int) for k in ("m_layers", "i", "j"))
         d = _field(report, system, "system.d", int, 2)
         _at_least(report, "system.d", d, 1)
-        make = lambda: (indicators.layered_oracle(ml, i, j), d, None)
+        make = lambda: (indicators.layered_oracle(ml, i, j, norm), d, None)
     elif kind == "rank_one":
         k = _field(report, system, "system.k", int)
         _at_least(report, "system.k", k, 1)
@@ -176,6 +179,31 @@ def _size(report: ValidationReport, field: str, sizer, *args):
         return None
 
 
+def _check_grid_spacing(report: ValidationReport, scheme: GridScheme, lam, a, m) -> None:
+    """Report, in O(1) and without building it, a grid whose adjacent radii
+    could coincide.  The first radius a/lambda and the smallest gap between
+    radii must be normal floats, and the relative step between radii must
+    exceed _GRID_STEP_ULPS ulps, times 1 + ln(lambda) on a geometric grid,
+    whose powers of 1/lambda round by that much."""
+    first = a / lam
+    if scheme is GridScheme.UNIFORM:
+        step, scale = (1.0 - 1.0 / lam) / (m - 1), 1.0  # relative to a
+        gap = a * step
+    else:
+        step, scale = math.expm1(math.log(lam) / (m - 1)), 1.0 + math.log(lam)
+        gap = first * step
+    if min(first, gap) < sys.float_info.min:
+        report.errors.append(
+            f"grid.a: {a!r} puts the first radius or the gap between radii "
+            "below the smallest normal float"
+        )
+    elif step <= _GRID_STEP_ULPS * sys.float_info.epsilon * scale:
+        report.errors.append(
+            f"grid.lambda: {lam!r} with m = {m} puts adjacent radii within "
+            f"{_GRID_STEP_ULPS} ulps of each other"
+        )
+
+
 def parse_config(raw):
     """Build (config, report); config is None when the report has errors.
     Never raises: every malformed field becomes an error naming it.  The
@@ -184,8 +212,9 @@ def parse_config(raw):
     if not isinstance(raw, dict):
         report.errors.append(f"top level: must be an object, got {type(raw).__name__}")
         return None, report
-    built = build_indicator(report, _section(report, "system", raw.get("system", {})))
     norm = _choice(report, "norm", str(raw.get("norm", "l2")).lower(), _NORMS)
+    system = _section(report, "system", raw.get("system", {}))
+    built = build_indicator(report, system, _NORMS.get(norm, NormKind.L2))
 
     grid = _section(report, "grid", raw.get("grid", {}))
     scheme_name = str(grid.get("scheme", "geometric")).lower()
@@ -231,6 +260,8 @@ def parse_config(raw):
             m = _size(report, "grid.epsilon", choose_m, _SCHEMES[scheme], lam, grid_eps)
         if n is None:
             n = _size(report, "sample.epsilon", reuse.chernoff_n, s_eps, s_delta)
+        if m is not None:
+            _check_grid_spacing(report, _SCHEMES[scheme], lam, a, m)
     if not report.ok:
         return None, report
     cfg = ExperimentConfig(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from robkit import indicators
 from robkit.cli import CSV_HEADER, main, parse_config
-from robkit.gridspec import GridScheme, choose_m
+from robkit.gridspec import GridScheme, build_grid, choose_m
 from robkit.reuse import chernoff_n
 from robkit.uncsample import BlockShape
 
@@ -168,6 +168,8 @@ class TestRun:
             ("system.region.kind", {"system": state_space(region={"kind": "disc"})}),
             ("system.b", {"system": state_space(b=[[[1]], [[1]]])}),
             ("system.b", {"system": state_space(b=[[], []])}),
+            ("grid.lambda", {"grid": {"scheme": "geometric", "lambda": 1.0000000000000002, "a": 1.0, "m": 25}}),
+            ("grid.a", {"grid": {"scheme": "uniform", "lambda": 2.5, "a": 1e-322, "m": 25}}),
         ],
     )
     def test_malformed_field_is_config_error(
@@ -193,6 +195,19 @@ class TestRun:
         cfg.write_text("[1, 2]")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "config error: top level: must be an object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_layered_curve_in_configured_norm(self, tmp_path, norm):
+        # the shells are measured in the norm the directions are drawn in, so
+        # the estimate follows the norm-free analytic curve
+        n = 2000
+        cfg = layered_config(tmp_path, norm=norm, sample={"n": n})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for line in read_outputs(out)[0].strip().split("\n")[1:]:
+            _, r, p_hat = (float(cell) for cell in line.split(",")[:3])
+            p = indicators.layered_scriptp(20, 11, 19, r)
+            assert abs(p_hat - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1e-9
 
     def test_chernoff_sizing_from_eps_delta(self, tmp_path):
         cfg = layered_config(tmp_path, sample={"epsilon": 0.2, "delta": 0.2})
@@ -294,3 +309,22 @@ class TestConfigFuzz:
     @given(one_field_replaced())
     def test_one_field_replaced(self, raw):
         self.check(raw)
+
+
+class TestGridSpacing:
+    """A grid that parse_config accepts can be built."""
+
+    LAMBDAS = (
+        st.floats(1.0, 2.0, exclude_min=True)
+        | st.floats(1e-17, 1e-9).map(lambda x: 1.0 + x)
+        | st.floats(2.0, 1e308)
+    )
+    AS = st.floats(5e-324, 1e308) | st.floats(1e-310, 1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["uniform", "geometric"]), LAMBDAS, AS, st.integers(2, 10**4))
+    def test_accepted_grid_builds(self, scheme, lam, a, m):
+        grid = {"scheme": scheme, "lambda": lam, "a": a, "m": m}
+        cfg, _ = parse_config({"system": layered(), "grid": grid, "sample": {"n": 1}})
+        if cfg is not None:
+            assert build_grid(cfg.grid_scheme, cfg.lam, cfg.a, cfg.m).m == m
