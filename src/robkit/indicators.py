@@ -23,6 +23,7 @@ from .uncsample import (
     ShapeKind,
     UncertaintyInstance,
     norm as unc_norm,
+    row_norms,
 )
 
 BOUNDARY_MARGIN = 1e-9  # eigenvalues this close to the region edge count as outside
@@ -31,8 +32,13 @@ SOLVE_BLOCK_BYTES = 1 << 19  # bounds the complex s*I - A stack of one transfer_
 
 @dataclass(frozen=True)
 class Indicator:
+    """fn decides one instance.  batch, where given, decides a stack of
+    instances at once: their flat coords, shape (S, d), to S decisions, each
+    the same as fn on that row."""
+
     fn: Callable[[UncertaintyInstance], int]
     description: str
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, delta: UncertaintyInstance) -> int:
         return self.fn(delta)
@@ -151,8 +157,13 @@ def layered_oracle(
         bad = lo_bad[0] <= rho < lo_bad[1] or hi_bad[0] <= rho < hi_bad[1]
         return 0 if bad else 1
 
+    def batch(coords: np.ndarray) -> np.ndarray:
+        rho = row_norms(coords, norm_kind)
+        bad = (lo_bad[0] <= rho) & (rho < lo_bad[1]) | (hi_bad[0] <= rho) & (rho < hi_bad[1])
+        return np.where(bad, 0, 1)
+
     return Indicator(
-        fn, f"layered shells m={m_layers}, bad shells {i} and {j}..{m_layers}"
+        fn, f"layered shells m={m_layers}, bad shells {i} and {j}..{m_layers}", batch
     )
 
 

@@ -80,6 +80,48 @@ class SegFun:
         return np.repeat(self.value, self.hi - self.lo + 1)
 
 
+def merge_pairs(node: np.ndarray, lo: np.ndarray, delta: np.ndarray):
+    """One level of a merge tree over flat delta rows: nodes 2i and 2i+1 sum
+    into node i.
+
+    A node is its rows (lo, delta) in ascending lo, where delta is the value
+    at lo minus the value just below it (at lo = 1, the value itself), so
+    every node has a row at lo = 1 and a maximal run starts at each row.  The
+    input rows are ordered by (node, lo); so are the returned (node // 2, lo,
+    delta) rows.  Deltas add, and a delta that cancels to zero joins two runs,
+    so its row is dropped."""
+    pair = node >> 1
+    order = np.lexsort((lo, pair))
+    pair, lo, delta = pair[order], lo[order], delta[order]
+    first = np.empty(pair.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(lo[1:], lo[:-1], out=first[1:])
+    first[1:] |= pair[1:] != pair[:-1]
+    starts = np.flatnonzero(first)
+    pair, lo, delta = pair[starts], lo[starts], np.add.reduceat(delta, starts)
+    keep = (delta != 0) | (lo == 1)
+    return pair[keep], lo[keep], delta[keep]
+
+
+def add_deltas(a, b):
+    """The delta rows (lo, delta) of the sum of two nodes' delta rows."""
+    node = np.repeat(np.array([0, 1], dtype=np.int64), [a[0].size, b[0].size])
+    _, lo, delta = merge_pairs(node, np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]))
+    return lo, delta
+
+
+def to_deltas(f: SegFun):
+    """The delta rows (lo, delta) of f: its value changes at each lo."""
+    delta = f.value.copy()
+    delta[1:] -= f.value[:-1]
+    return f.lo, delta
+
+
+def from_deltas(m: int, lo: np.ndarray, delta: np.ndarray) -> SegFun:
+    """The checked SegFun of one node's delta rows."""
+    return SegFun(m, lo, np.append(lo[1:] - 1, m), np.cumsum(delta))
+
+
 def merge(d: SegFun, h: SegFun, counter: MergeCostCounter | None = None) -> SegFun:
     """Run-length encoding of the pointwise sum f_d + f_h, coalesced to
     maximal runs.  Cost is charged as rows(d) + rows(h)."""
@@ -87,15 +129,4 @@ def merge(d: SegFun, h: SegFun, counter: MergeCostCounter | None = None) -> SegF
         raise IncompatibleDomainError(f"domains differ: {d.m} vs {h.m}")
     if counter is not None:
         counter.row_visits += d.row_count + h.row_count
-    cuts = np.union1d(d.lo, h.lo)
-    vals = (
-        d.value[np.searchsorted(d.lo, cuts, side="right") - 1]
-        + h.value[np.searchsorted(h.lo, cuts, side="right") - 1]
-    )
-    keep = np.empty(vals.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(vals[1:], vals[:-1], out=keep[1:])
-    lo = cuts[keep]
-    value = vals[keep]
-    hi = np.append(lo[1:] - 1, d.m)
-    return SegFun(d.m, lo, hi, value)
+    return from_deltas(d.m, *add_deltas(to_deltas(d), to_deltas(h)))

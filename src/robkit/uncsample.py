@@ -8,6 +8,7 @@ Euclidean norm this is the ordinary rotation-invariant sphere measure.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,15 @@ class UncertaintyInstance:
                 f"shape implies dimension {self.shape.dim}, got {coords.size} coords"
             )
 
+    @classmethod
+    def trusted(cls, coords: np.ndarray, shape: BlockShape) -> "UncertaintyInstance":
+        """An instance built without checks, for 1-d float coords that the
+        caller has already matched to the shape."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "coords", coords)
+        object.__setattr__(inst, "shape", shape)
+        return inst
+
     @property
     def dim(self) -> int:
         return self.coords.size
@@ -116,6 +126,32 @@ class SeededStream:
         return Generator(Philox(key=key))
 
 
+class RekeyedStreams:
+    """One Philox generator, re-keyed in place per stream: `stream(k)` resets
+    it to SeededStream(master_seed, k)'s key with counter 0 and an empty
+    buffer, so it draws exactly what SeededStream(master_seed, k).generator()
+    draws, without building a generator per stream."""
+
+    def __init__(self, master_seed: int):
+        self._bits = Philox(key=0)
+        self._gen = Generator(self._bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        self._key = np.array([operator.index(master_seed) & (2**64 - 1), 0], dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": self._key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def stream(self, stream_index: int) -> Generator:
+        self._key[1] = stream_index & (2**64 - 1)
+        self._bits.state = self._state
+        return self._gen
+
+
 def _as_generator(rng) -> Generator:
     if isinstance(rng, SeededStream):
         return rng.generator()
@@ -128,6 +164,16 @@ def vector_norm(coords: np.ndarray, kind: NormKind) -> float:
     if kind is NormKind.L2:
         return float(np.linalg.norm(coords))
     return float(np.max(np.abs(coords)))
+
+
+def row_norms(x: np.ndarray, kind: NormKind) -> np.ndarray:
+    """vector_norm of each row of a 2-d array, bit for bit: the l2 sums of
+    squares are the per-row dot products, as a stacked matmul."""
+    if kind is NormKind.L1:
+        return np.sum(np.abs(x), axis=1)
+    if kind is NormKind.L2:
+        return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return np.max(np.abs(x), axis=1)
 
 
 def norm(delta: UncertaintyInstance, kind: NormKind) -> float:

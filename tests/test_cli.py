@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert "indicator returned 2, not 0 or 1" in err
         assert "indicator failed on direction 1 at radius" in err
+
+    @pytest.mark.parametrize("failure", ["raises", "returns_two"])
+    def test_failing_batch_exits_3_naming_direction_and_radius(
+        self, tmp_path, capsys, monkeypatch, failure
+    ):
+        # the indicator fails above norm 0.9, one row at a time and in batch;
+        # the error line names the same direction and radius either way
+        def fn(delta):
+            if np.linalg.norm(delta.coords) <= 0.9:
+                return 1
+            if failure == "raises":
+                raise RuntimeError("boom")
+            return 2
+
+        def batch(coords):
+            over = np.linalg.norm(coords, axis=1) > 0.9
+            if failure == "raises" and over.any():
+                raise RuntimeError("boom")
+            return np.where(over, 2, 1)
+
+        cfg = layered_config(tmp_path)
+        lines = []
+        for ind in (indicators.Indicator(fn, "rows"), indicators.Indicator(fn, "batch", batch)):
+            monkeypatch.setattr(indicators, "layered_oracle", lambda *a, ind=ind: ind)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert "indicator failed on direction" in lines[1]
+        assert "at radius" in lines[1]
 
     @pytest.mark.parametrize(
         "field, overrides",

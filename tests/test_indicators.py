@@ -20,7 +20,14 @@ from robkit.indicators import (
     step_spec,
     three_parameter_servo,
 )
-from robkit.uncsample import BlockShape, InvalidInstanceError, UncertaintyInstance
+from robkit.uncsample import (
+    BlockShape,
+    InvalidInstanceError,
+    NormKind,
+    UncertaintyInstance,
+    row_norms,
+    surface_points,
+)
 
 
 def block(mat):
@@ -83,6 +90,43 @@ class TestLayeredOracle:
     def test_bad_shell_parameters_rejected(self):
         with pytest.raises(ValueError):
             layered_oracle(20, 19, 11)
+
+    @staticmethod
+    def edge_rows(kind, d, edges, per_edge, rng):
+        """Rows U*r with r bisected until its two bracketing floats straddle
+        the edge in the norm; both floats of every bracket are returned."""
+        u = surface_points(d, kind, rng, per_edge * edges.size)
+        edge = np.repeat(edges, per_edge)
+        lo = np.zeros(edge.size)
+        hi = 2.0 * edge + 1e-300
+        while True:
+            open_ = np.nextafter(lo, np.inf) < hi
+            if not open_.any():
+                break
+            mid = np.where(open_, 0.5 * (lo + hi), lo)
+            below = row_norms(u * mid[:, None], kind) < edge
+            lo = np.where(open_ & below, mid, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        return np.concatenate([u * lo[:, None], u * hi[:, None]])
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_batch_matches_fn(self, kind):
+        m_layers = 20
+        ind = layered_oracle(m_layers, 11, 19, kind)
+        rng = np.random.default_rng(31)
+        edges = np.arange(1, m_layers + 1) / m_layers
+        total = 0
+        for d in (3, 50, 200):
+            coords = np.concatenate([
+                self.edge_rows(kind, d, edges, 500, rng),
+                surface_points(d, kind, rng, 14_000) * rng.uniform(0, 1.2, (14_000, 1)),
+            ])
+            batch = ind.batch(coords)
+            single = np.array([ind(UncertaintyInstance(x)) for x in coords])
+            assert np.array_equal(batch, single)
+            assert 0 < batch.sum() < batch.size
+            total += coords.shape[0]
+        assert total >= 100_000
 
 
 class TestRankOneFamily:

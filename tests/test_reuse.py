@@ -9,6 +9,7 @@ from robkit import gridspec
 from robkit.gridspec import GridScheme, build_grid
 from robkit.indicators import Indicator, layered_oracle, layered_scriptp
 from robkit.reuse import (
+    UNIFORMS,
     CorruptedInputError,
     OutOfRangeError,
     RobustnessCurve,
@@ -199,7 +200,8 @@ class TestReferenceSchedules:
     drawn with the (2k, 2k+1) stream convention."""
 
     D, SEED = 10, 4
-    NS = (1, 2, 3, 7, 255, 256, 1000)
+    # 63, 64, 65 and 3*64 + 5: groups and folds that straddle merge chunks
+    NS = (1, 2, 3, 7, 255, 256, 1000, 63, 64, 65, 3 * 64 + 5)
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -255,6 +257,61 @@ class TestReferenceSchedules:
             assert rep.total_simulations == sims
             assert np.array_equal(h.dense(), counts)
 
+    def test_directions_that_need_more_draws(self):
+        # a uniform grid with a large lambda: many sweeps take more steps than
+        # the driver's first block of radius draws per direction
+        g = build_grid(GridScheme.UNIFORM, 1e6, 1.0, 2000)
+        ind = Indicator(lambda d: int(math.floor(200 * np.linalg.norm(d.coords)) % 2 == 0), "shells")
+        n, d, seed = 70, 5, 3
+        leaves = []
+        for k in range(1, n + 1):
+            u = sample_surface(d, NormKind.L2, SeededStream(seed, 2 * k))
+            leaves.append(radial_sampling(u, g, ind, SeededStream(seed, 2 * k + 1)))
+        assert max(run.simulations_used for run in leaves) > 2 * UNIFORMS
+        segs = [run.segments for run in leaves]
+        for algo, reference in ((hsra, self.level_tree), (ssra, self.fold)):
+            h, rep = algo(n, g, ind, d, seed=seed)
+            ref_h, ref_visits = reference(segs)
+            assert h.rows == ref_h.rows
+            assert rep.merge_row_visits == ref_visits
+            assert rep.total_simulations == sum(run.simulations_used for run in leaves)
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_other_norms_match_references(self, kind):
+        g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
+        ind = layered_oracle(20, 11, 19, kind)
+        leaves = []
+        for k in range(1, 66):
+            u = sample_surface(self.D, kind, SeededStream(self.SEED, 2 * k))
+            leaves.append(radial_sampling(u, g, ind, SeededStream(self.SEED, 2 * k + 1)))
+        segs = [run.segments for run in leaves]
+        for algo, reference in ((hsra, self.level_tree), (ssra, self.fold)):
+            h, rep = algo(65, g, ind, self.D, kind, seed=self.SEED)
+            ref_h, ref_visits = reference(segs)
+            assert h.rows == ref_h.rows
+            assert rep.merge_row_visits == ref_visits
+            assert rep.total_simulations == sum(run.simulations_used for run in leaves)
+
+    def test_indicator_calls_in_sweep_order(self):
+        # an indicator without batch sees the same instances, in the same
+        # order, as one radial_sampling per direction
+        g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
+        layered = layered_oracle(20, 11, 19)
+        calls = []
+
+        def recording(delta):
+            calls.append(delta.coords.copy())
+            return layered(delta)
+
+        ind = Indicator(recording, "records")
+        hsra(70, g, ind, self.D, seed=self.SEED)
+        driven, calls[:] = list(calls), []
+        for k in range(1, 71):
+            u = sample_surface(self.D, NormKind.L2, SeededStream(self.SEED, 2 * k))
+            radial_sampling(u, g, ind, SeededStream(self.SEED, 2 * k + 1))
+        assert len(driven) == len(calls)
+        assert all(np.array_equal(a, b) for a, b in zip(driven, calls))
+
     def test_memory_does_not_grow_with_n(self):
         g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
         ind = layered_oracle(20, 11, 19)
@@ -269,6 +326,84 @@ class TestReferenceSchedules:
                 tracemalloc.stop()
 
         assert peak(4096) <= 2 * peak(256)
+
+
+class TestSampleCount:
+    G = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
+
+    @pytest.mark.parametrize("algo", [ssra, hsra])
+    def test_numpy_integer_count(self, algo):
+        ind = layered_oracle(20, 11, 19)
+        h, rep = algo(np.int64(5), self.G, ind, 4, seed=2)
+        ref_h, ref = algo(5, self.G, ind, 4, seed=2)
+        assert h.rows == ref_h.rows
+        assert rep == ref
+        assert type(rep.n_samples) is int
+
+    @pytest.mark.parametrize("algo", [ssra, hsra])
+    @pytest.mark.parametrize("n", [5.0, "5"])
+    def test_non_integer_count_rejected_before_any_draw(self, algo, n):
+        calls = []
+        ind = Indicator(lambda d: calls.append(d) or 1, "records")
+        with pytest.raises(TypeError):
+            algo(n, self.G, ind, 4)
+        assert calls == []
+
+
+class TestBatchIndicator:
+    G = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
+
+    @staticmethod
+    def failing(after, exc_factory):
+        """An indicator that fails on every instance of norm above `after`,
+        both one at a time and in batch."""
+
+        def fn(delta):
+            if np.linalg.norm(delta.coords) > after:
+                exc_factory()
+            return 1
+
+        def batch(coords):
+            if np.any(np.linalg.norm(coords, axis=1) > after):
+                exc_factory()
+            return np.ones(coords.shape[0], dtype=np.int64)
+
+        return fn, batch
+
+    @staticmethod
+    def returns_two(after):
+        fn = lambda d: 2 if np.linalg.norm(d.coords) > after else 1
+        batch = lambda x: np.where(np.linalg.norm(x, axis=1) > after, 2, 1)
+        return fn, batch
+
+    def boom(self):
+        raise RuntimeError("boom")
+
+    @pytest.mark.parametrize("kind", ["raises", "returns_two"])
+    def test_failure_names_the_row_fn_names(self, kind):
+        # the note names the direction and radius of the first row that fails
+        # on its own, as the row-by-row driver does
+        fn, batch = (
+            self.failing(0.9, self.boom) if kind == "raises" else self.returns_two(0.9)
+        )
+        errors = []
+        for ind in (Indicator(fn, "rows"), Indicator(fn, "batch", batch)):
+            with pytest.raises((RuntimeError, ValueError)) as info:
+                hsra(200, self.G, ind, 3, seed=8)
+            errors.append((type(info.value), str(info.value), info.value.__notes__[0]))
+        assert errors[0] == errors[1]
+        assert "indicator failed on direction" in errors[0][2]
+
+    def test_batch_that_disagrees_with_fn_is_reported(self):
+        ind = Indicator(lambda d: 1, "fn passes", lambda x: np.full(x.shape[0], 2))
+        with pytest.raises(ValueError, match="not 0 or 1") as info:
+            hsra(10, self.G, ind, 3, seed=8)
+        assert "indicator batch failed on directions 1..10" in info.value.__notes__[0]
+
+    def test_batch_of_wrong_length_rejected(self):
+        ind = Indicator(lambda d: 1, "short", lambda x: np.ones(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="indicator batch returned shape"):
+            hsra(10, self.G, ind, 3, seed=8)
 
 
 class TestChernoff:

@@ -8,6 +8,7 @@ from robkit.uncsample import (
     DirectionSample,
     InvalidInstanceError,
     NormKind,
+    RekeyedStreams,
     SeededStream,
     UncertaintyInstance,
     norm,
@@ -159,6 +160,22 @@ class TestSeededStream:
     def test_any_seed_stream_pair_works(self, seed, stream):
         x = SeededStream(seed, stream).generator().uniform()
         assert 0.0 <= x < 1.0
+
+
+class TestRekeyedStreams:
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1])
+    def test_same_draws_as_a_fresh_generator(self, seed):
+        streams = RekeyedStreams(seed)
+        for k in (0, 1, 2**64 - 1, 1, 0):  # revisited streams restart from counter 0
+            ref = SeededStream(seed, k).generator()
+            gen = streams.stream(k)
+            # an odd-length draw leaves a half-used buffer behind
+            assert np.array_equal(gen.standard_normal(7), ref.standard_normal(7))
+            assert np.array_equal(gen.random(5), ref.random(5))
+            assert np.array_equal(gen.integers(0, 2, size=3), ref.integers(0, 2, size=3))
+            out = np.empty(4)
+            streams.stream(k).random(out=out)
+            assert np.array_equal(out, SeededStream(seed, k).generator().random(4))
 
 
 def test_sample_surface_returns_unit_direction():
