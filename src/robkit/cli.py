@@ -68,14 +68,17 @@ _GRID_STEP_ULPS = 16
 
 def _number(report: ValidationReport, field: str, value, kind=float):
     """value as a finite `kind`; None when absent, or with a config error
-    naming the field when it is not a number."""
+    naming the field when it is not a finite JSON number (booleans and
+    strings are not) or, for an int field, not an integral one."""
     if value is None:
         return None
     try:
-        num = kind(value)
-        if math.isfinite(num):
-            return num
-    except (TypeError, ValueError, OverflowError):
+        if type(value) in (int, float) and math.isfinite(value):
+            if kind is float or value == int(value):
+                return kind(value)
+            report.errors.append(f"{field}: must be an integer, got {value!r}")
+            return None
+    except OverflowError:  # an int too large for a float
         pass
     report.errors.append(f"{field}: must be a finite number, got {value!r}")
     return None
@@ -117,9 +120,12 @@ def _matrix(report: ValidationReport, system: dict, key: str):
         report.errors.append(f"system.{key}: required")
         return None
     try:
-        mat = np.array(system[key], dtype=float)
-        if mat.size and mat.ndim <= 2 and np.all(np.isfinite(mat)):
-            return mat
+        cells = np.array(system[key], dtype=object)
+        # JSON numbers only: float() would also take strings and booleans
+        if all(type(x) in (int, float) for x in cells.flat):
+            mat = cells.astype(float)
+            if mat.size and mat.ndim <= 2 and np.all(np.isfinite(mat)):
+                return mat
     except (TypeError, ValueError, OverflowError):
         pass
     report.errors.append(f"system.{key}: must be a non-empty matrix of finite numbers")
@@ -254,6 +260,9 @@ def parse_config(raw):
     out_dir = raw.get("out", ".")
     if not isinstance(out_dir, str):
         report.errors.append(f"out: must be a path string, got {out_dir!r}")
+    emit_bbp = raw.get("emit_bbp")
+    if emit_bbp is not None and not isinstance(emit_bbp, bool):
+        report.errors.append(f"emit_bbp: must be true or false, got {emit_bbp!r}")
 
     if report.ok:  # every sizing input is valid; only the arithmetic can fail
         if m is None:
@@ -266,7 +275,7 @@ def parse_config(raw):
         return None, report
     cfg = ExperimentConfig(
         *built, _NORMS[norm], _SCHEMES[scheme], lam, a, m, n, algorithm,
-        bool(raw.get("emit_bbp", False)), seed, Path(out_dir),
+        bool(emit_bbp), seed, Path(out_dir),
     )
     return cfg, report
 

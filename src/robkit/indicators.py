@@ -153,9 +153,7 @@ def layered_oracle(
     hi_bad = ((j - 1) / m_layers, 1.0)
 
     def fn(delta: UncertaintyInstance) -> int:
-        rho = unc_norm(delta, norm_kind)
-        bad = lo_bad[0] <= rho < lo_bad[1] or hi_bad[0] <= rho < hi_bad[1]
-        return 0 if bad else 1
+        return int(layered_phi(m_layers, i, j, unc_norm(delta, norm_kind)))
 
     def batch(coords: np.ndarray) -> np.ndarray:
         rho = row_norms(coords, norm_kind)

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import Disk, HalfPlane, LtiPlant, PoleRegion
+from .indicators import HalfPlane, LtiPlant, PoleRegion
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GAMMA_FLOOR = 1e-6  # search on log(gamma) in [log 1e-6, 0] to tame 1/gamma
+F_RANGE = (1e-3, 1e3)  # half-plane sweep: omega = 0, then geometric over this range
 
 
 class NominalInstabilityError(ValueError):
@@ -36,19 +37,21 @@ class MarginResult:
     gamma_at_inf: float | None = None
 
 
-def _boundary_points(region: PoleRegion, n_points: int, f_range=(1e-3, 1e3)):
+def boundary_point(region: PoleRegion, t):
+    """The boundary point s at parameter t, a scalar or an array: sigma_max +
+    i*t on a half-plane, radius * e^(i*t) on a disk."""
+    if isinstance(region, HalfPlane):
+        return region.sigma_max + 1j * t
+    return region.radius * np.exp(1j * t)
+
+
+def _boundary_points(region: PoleRegion, n_points: int):
     """Boundary parameters t and the map t -> s on the region boundary."""
     if isinstance(region, HalfPlane):
-        omegas = np.concatenate(([0.0], np.geomspace(f_range[0], f_range[1], n_points - 1)))
-        return omegas, lambda w: region.sigma_max + 1j * w
-    thetas = np.linspace(0.0, math.pi, n_points)  # real data: conjugate symmetry
-    return thetas, lambda th: region.radius * np.exp(1j * th)
-
-
-def boundary_point(region: PoleRegion, t: float) -> complex:
-    if isinstance(region, HalfPlane):
-        return complex(region.sigma_max, t)
-    return region.radius * complex(math.cos(t), math.sin(t))
+        ts = np.concatenate(([0.0], np.geomspace(*F_RANGE, n_points - 1)))
+    else:
+        ts = np.linspace(0.0, math.pi, n_points)  # real data: conjugate symmetry
+    return ts, lambda t: boundary_point(region, t)
 
 
 def _check_nominal(plant: LtiPlant, region: PoleRegion) -> None:
@@ -134,10 +137,10 @@ def _real_objective(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, gammas
 
 
-def _sweep(plant, region, objective, n_points, f_range):
+def _sweep(plant, region, objective, n_points):
     """Boundary supremum of a stacked objective: every grid point at once,
     then a golden-section refinement around the best one."""
-    ts, to_s = _boundary_points(region, n_points, f_range)
+    ts, to_s = _boundary_points(region, n_points)
     vals = objective(plant.transfer_at(to_s(ts)))
     best = int(np.argmax(vals))
     lo = ts[max(best - 1, 0)]
@@ -150,33 +153,21 @@ def _sweep(plant, region, objective, n_points, f_range):
     return float(t_star[0]), float(v_star[0])
 
 
-def complex_margin(
-    plant: LtiPlant,
-    region: PoleRegion,
-    n_points: int = 2048,
-    f_range=(1e-3, 1e3),
-) -> MarginResult:
+def complex_margin(plant: LtiPlant, region: PoleRegion, n_points: int = 2048) -> MarginResult:
     """Smallest destabilizing complex-block size: 1 / sup over the region
     boundary of the largest singular value of M(s)."""
     _check_nominal(plant, region)
-    t_star, sup = _sweep(plant, region, _sigma_max, n_points, f_range)
+    t_star, sup = _sweep(plant, region, _sigma_max, n_points)
     if sup <= 0:
         raise ValueError("transfer matrix vanishes on the boundary sweep")
     return MarginResult(1.0 / sup, "complex", t_star)
 
 
-def real_margin(
-    plant: LtiPlant,
-    region: PoleRegion,
-    n_points: int = 2048,
-    f_range=(1e-3, 1e3),
-) -> MarginResult:
+def real_margin(plant: LtiPlant, region: PoleRegion, n_points: int = 2048) -> MarginResult:
     """Smallest destabilizing real-block size via the second-singular-value
     criterion, minimized over the skew parameter at every boundary point."""
     _check_nominal(plant, region)
-    t_star, sup = _sweep(
-        plant, region, lambda m: _real_objective(m)[0], n_points, f_range
-    )
+    t_star, sup = _sweep(plant, region, lambda m: _real_objective(m)[0], n_points)
     if sup <= 0:
         return MarginResult(math.inf, "real", t_star, 1.0)
     _, gamma = _real_objective(plant.transfer_at([boundary_point(region, t_star)]))
@@ -184,14 +175,11 @@ def real_margin(
 
 
 def complex_margin_bruteforce(
-    plant: LtiPlant,
-    region: PoleRegion,
-    n_points: int = 8192,
-    f_range=(1e-3, 1e3),
+    plant: LtiPlant, region: PoleRegion, n_points: int = 8192
 ) -> float:
     """Dense-grid oracle for the complex margin (no refinement step)."""
     _check_nominal(plant, region)
-    ts, to_s = _boundary_points(region, n_points, f_range)
+    ts, to_s = _boundary_points(region, n_points)
     return 1.0 / float(np.max(_sigma_max(plant.transfer_at(to_s(ts)))))
 
 

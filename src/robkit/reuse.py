@@ -26,7 +26,6 @@ from .uncsample import (
     InvalidInstanceError,
     NormKind,
     RekeyedStreams,
-    SeededStream,
     UncertaintyInstance,
     _as_generator,
     sample_surface,
@@ -70,9 +69,18 @@ class ComplexityReport:
     simulations_std: float = 0.0
 
 
-def _note(exc: Exception, k: int, radius: float) -> None:
-    if hasattr(exc, "add_note"):
-        exc.add_note(f"indicator failed on direction {k} at radius {radius}")
+def _checked(indicator, delta: UncertaintyInstance, k: int, radius: float) -> int:
+    """int(indicator(delta)), checked to be 0 or 1; an error from the call or
+    the check gets a note naming direction k and the radius."""
+    try:
+        val = int(indicator(delta))
+        if val & ~1:  # anything but 0 or 1
+            raise ValueError(f"indicator returned {val}, not 0 or 1")
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"indicator failed on direction {k} at radius {radius}")
+        raise
+    return val
 
 
 def radial_sampling(
@@ -96,13 +104,7 @@ def radial_sampling(
     s = -1
     while p > 0:
         radius = gen.uniform(0.0, g.radii[p - 1])
-        try:
-            val = int(indicator(scale(u, radius)))
-            if val & ~1:  # anything but 0 or 1
-                raise ValueError(f"indicator returned {val}, not 0 or 1")
-        except Exception as exc:
-            _note(exc, direction_index, radius)
-            raise
+        val = _checked(indicator, scale(u, radius), direction_index, radius)
         sims += 1
         j = locate(g, radius)
         if rows and val == s:
@@ -246,43 +248,38 @@ class _Leaves:
         return row[order], radius[order], j[order]
 
     def _decide(self, k0, row, coords, radius):
+        """The block's decisions: by `batch` where the indicator has one; else,
+        or when the batch fails, by one checked call per row, so that an error
+        names the first direction and radius that fail on their own."""
         batch = getattr(self.indicator, "batch", None)
-        if batch is None:
-            return self._decide_rows(k0, row, coords, radius)
-        try:
-            val = np.asarray(batch(coords))
-            if val.shape != row.shape:
-                raise ValueError(f"indicator batch returned shape {val.shape}, not {row.shape}")
-            val = val.astype(np.int64)
-            bad = np.flatnonzero(val & ~1)
-            if bad.size:
-                raise ValueError(f"indicator returned {val[bad[0]]}, not 0 or 1")
+        error = None
+        if batch is not None:
+            try:
+                val = np.asarray(batch(coords))
+                if val.shape != row.shape:
+                    raise ValueError(f"indicator batch returned shape {val.shape}, not {row.shape}")
+                val = val.astype(np.int64)
+                bad = np.flatnonzero(val & ~1)
+                if bad.size:
+                    raise ValueError(f"indicator returned {val[bad[0]]}, not 0 or 1")
+                return val
+            except Exception as exc:
+                error = exc
+        # outside the handler, so that a row's error is not chained to the batch's
+        shape, indicator = self.shape, self.indicator
+        rows = zip(coords, (k0 + row).tolist(), radius.tolist())
+        val = np.array(
+            [_checked(indicator, UncertaintyInstance.trusted(x, shape), k, r) for x, k, r in rows],
+            dtype=np.int64,
+        )
+        if error is None:
             return val
-        except Exception as exc:
-            error = exc
-        # the row-by-row pass names the first row that fails on its own; it
-        # runs outside the handler, so that its error is not chained to this one
-        self._decide_rows(k0, row, coords, radius)
         if hasattr(error, "add_note"):
             error.add_note(
                 f"indicator batch failed on directions {k0}..{k0 + row[-1]}, "
                 "though every row passes on its own"
             )
         raise error
-
-    def _decide_rows(self, k0, row, coords, radius):
-        val = np.empty(row.size, dtype=np.int64)
-        shape, indicator = self.shape, self.indicator
-        for s in range(row.size):
-            try:
-                v = int(indicator(UncertaintyInstance.trusted(coords[s], shape)))
-                if v & ~1:  # anything but 0 or 1
-                    raise ValueError(f"indicator returned {v}, not 0 or 1")
-            except Exception as exc:
-                _note(exc, k0 + int(row[s]), float(radius[s]))
-                raise
-            val[s] = v
-        return val
 
 
 def _sample_reuse(n, groups, grid, indicator, d, norm_kind, seed, shape):

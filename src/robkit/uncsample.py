@@ -98,10 +98,6 @@ class UncertaintyInstance:
         object.__setattr__(inst, "shape", shape)
         return inst
 
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
     def as_matrix(self) -> np.ndarray:
         """Materialize the block as a (possibly complex) rows x cols matrix."""
         s = self.shape
@@ -158,16 +154,8 @@ def _as_generator(rng) -> Generator:
     return rng
 
 
-def vector_norm(coords: np.ndarray, kind: NormKind) -> float:
-    if kind is NormKind.L1:
-        return float(np.sum(np.abs(coords)))
-    if kind is NormKind.L2:
-        return float(np.linalg.norm(coords))
-    return float(np.max(np.abs(coords)))
-
-
 def row_norms(x: np.ndarray, kind: NormKind) -> np.ndarray:
-    """vector_norm of each row of a 2-d array, bit for bit: the l2 sums of
+    """`norm` of each row of a 2-d array, bit for bit: the l2 sums of
     squares are the per-row dot products, as a stacked matmul."""
     if kind is NormKind.L1:
         return np.sum(np.abs(x), axis=1)
@@ -181,7 +169,12 @@ def norm(delta: UncertaintyInstance, kind: NormKind) -> float:
 
     For matrix blocks L2 acts on the flat coordinates, i.e. the Frobenius norm.
     """
-    return vector_norm(delta.coords, kind)
+    coords = delta.coords
+    if kind is NormKind.L1:
+        return float(np.sum(np.abs(coords)))
+    if kind is NormKind.L2:
+        return float(np.linalg.norm(coords))
+    return float(np.max(np.abs(coords)))
 
 
 def surface_points(d: int, kind: NormKind, rng, count: int) -> np.ndarray:
@@ -231,7 +224,7 @@ class DirectionSample:
     norm: NormKind
 
     def __post_init__(self):
-        n = vector_norm(self.instance.coords, self.norm)
+        n = norm(self.instance, self.norm)
         if abs(n - 1.0) > 1e-12:
             raise InvalidInstanceError(f"direction norm {n} is not 1 within 1e-12")
 

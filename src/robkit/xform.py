@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,9 +32,6 @@ class PhiFunction:
 
     fn: Callable[[float], float]
     discontinuities: tuple[float, ...] = ()
-
-    def __call__(self, rho: float) -> float:
-        return self.fn(rho)
 
 
 @dataclass
@@ -76,11 +73,10 @@ def bbp_from_scriptp(curve: CurveGrid) -> CurveGrid:
     # constant is itself
     out[0] = p[0]
     for k in range(len(r) - 1):
-        a, b = r[k], r[k + 1]
-        q = _pow_ratio(a, b, n)
-        # (n-1) * c * (a/b)^n * ((b/a)^n - 1) == (n-1) * c * (1 - (a/b)^n)
-        cell = (n - 1) * p[k] * (-math.expm1(n * math.log(a / b)))
-        out[k + 1] = n * p[k + 1] - q * (n * p[k] - out[k]) - cell
+        log_q = n * math.log(r[k] / r[k + 1])  # q = (r_k / r_{k+1})^n
+        # (n-1) * c * q * (1/q - 1) == (n-1) * c * (1 - q)
+        cell = (n - 1) * p[k] * (-math.expm1(log_q))
+        out[k + 1] = n * p[k + 1] - math.exp(log_q) * (n * p[k] - out[k]) - cell
     return CurveGrid(r, np.clip(out, 0.0, 1.0), n, raw_values=out)
 
 

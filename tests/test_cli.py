@@ -136,6 +136,14 @@ class TestRun:
         assert "runtime error: boom" in err
         assert "indicator failed on direction 1 at radius" in err
 
+    def test_missing_seed_warns_and_runs(self, tmp_path, capsys):
+        cfg = layered_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw["seed"]
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "warning: seed: missing, defaulted to 0" in capsys.readouterr().err
+
     def test_non_binary_indicator_value_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             indicators, "layered_oracle", lambda *a: indicators.Indicator(lambda d: 2, "two")
@@ -200,6 +208,16 @@ class TestRun:
             ("system.b", {"system": state_space(b=[[], []])}),
             ("grid.lambda", {"grid": {"scheme": "geometric", "lambda": 1.0000000000000002, "a": 1.0, "m": 25}}),
             ("grid.a", {"grid": {"scheme": "uniform", "lambda": 2.5, "a": 1e-322, "m": 25}}),
+            ("sample", {"sample": {"epsilon": 0.05}}),
+            # JSON numbers only, integral where an integer is meant
+            ("sample.n", {"sample": {"n": 738.9}}),
+            ("grid.m", {"grid": {"scheme": "geometric", "lambda": 2.5, "a": 1.0, "m": 39.5}}),
+            ("system.d", {"system": layered(d=2.5)}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": "12"}),
+            ("emit_bbp", {"emit_bbp": "no"}),
+            ("system.a", {"system": state_space(a=[["-1"]], b=[[1]], c=[[1]])}),
+            ("system.b", {"system": state_space(a=[[-1]], b=[[True]], c=[[1]])}),
         ],
     )
     def test_malformed_field_is_config_error(

@@ -25,6 +25,7 @@ def test_corpus_covers_every_case():
         "servo_stability",
         "state_space_complex_disk",
         "state_space_real_half_plane",
+        "step_servo",
     ]
 
 

@@ -175,6 +175,24 @@ class TestStepSpec:
         ind = step_spec(self.first_order_loop, 2.0, 3.5, 0.7)
         assert ind(UncertaintyInstance(np.zeros(1))) == 1
 
+    # C = 0 has no response; C = -1 settles to -1, a response that the
+    # normalized limits alone would pass
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_dc_gain_not_positive_fails(self, c):
+        def loop(delta):
+            return np.array([[-1.0]]), np.array([[1.0]]), np.array([[c]]), np.array([[0.0]])
+
+        ind = step_spec(loop, 100.0, 100.0, 100.0)
+        assert ind(UncertaintyInstance(np.zeros(1))) == 0
+
+    def test_response_below_90_percent_at_horizon_fails(self):
+        # time constant 100 s against a 17.5 s horizon: y(17.5) is about 0.16
+        def slow(delta):
+            return np.array([[-0.01]]), np.array([[0.01]]), np.array([[1.0]]), np.array([[0.0]])
+
+        ind = step_spec(slow, 100.0, 3.5, 100.0)
+        assert ind(UncertaintyInstance(np.zeros(1))) == 0
+
     def test_unstable_loop_always_fails(self):
         def unstable(delta):
             return np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])

@@ -128,6 +128,14 @@ class TestScalarExamples:
             0.5, rel=1e-6
         )
 
+    def test_vanishing_transfer_matrix(self):
+        # M(s) = 0: no complex block destabilizes, and no real block either
+        plant = LtiPlant([[-1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="transfer matrix vanishes"):
+            complex_margin(plant, HalfPlane(0.0))
+        res = real_margin(plant, HalfPlane(0.0))
+        assert res.value == math.inf and res.gamma_at_inf == 1.0
+
     def test_nominal_instability_rejected(self):
         plant = LtiPlant([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(NominalInstabilityError):

@@ -95,6 +95,14 @@ class TestRadialSampling:
             hsra(8, g, Indicator(lambda d: value, "bad"), 3, seed=1)
         assert "indicator failed on direction 1 at radius" in info.value.__notes__[0]
 
+    def test_non_binary_value_names_direction_and_radius(self):
+        g = build_grid(GridScheme.UNIFORM, 2.0, 1.0, 3)
+        with pytest.raises(ValueError, match="indicator returned 2, not 0 or 1") as info:
+            radial_sampling(
+                unit_direction(), g, Indicator(lambda d: 2, "two"), ScriptedRng([0.5]), 7
+            )
+        assert info.value.__notes__ == ["indicator failed on direction 7 at radius 0.5"]
+
     def test_value_at_index_uses_uniform_radius_on_prefix(self):
         # the radius attached to index i must be distributed U[0, r_i]:
         # pooled over many directions, KS per index against the uniform law
@@ -393,6 +401,12 @@ class TestBatchIndicator:
             errors.append((type(info.value), str(info.value), info.value.__notes__[0]))
         assert errors[0] == errors[1]
         assert "indicator failed on direction" in errors[0][2]
+
+    def test_row_error_is_not_chained_to_batch_error(self):
+        fn, batch = self.failing(0.9, self.boom)
+        with pytest.raises(RuntimeError) as info:
+            hsra(200, self.G, Indicator(fn, "batch", batch), 3, seed=8)
+        assert info.value.__context__ is None and info.value.__cause__ is None
 
     def test_batch_that_disagrees_with_fn_is_reported(self):
         ind = Indicator(lambda d: 1, "fn passes", lambda x: np.full(x.shape[0], 2))
