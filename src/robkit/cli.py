@@ -100,6 +100,11 @@ def _at_least(report: ValidationReport, field: str, value, low) -> None:
         report.errors.append(f"{field}: must be >= {low}")
 
 
+def _above(report: ValidationReport, field: str, value, low) -> None:
+    if value is not None and value <= low:
+        report.errors.append(f"{field}: must be > {low}")
+
+
 def _section(report: ValidationReport, field: str, value) -> dict:
     if isinstance(value, dict):
         return value
@@ -164,6 +169,10 @@ def build_indicator(report: ValidationReport, system: dict, norm: NormKind = Nor
 
     elif kind == "step_servo":
         limits = [_field(report, system, f"system.{k}", float, v) for k, v in _LIMITS]
+        rise, settle, overshoot = limits
+        _above(report, "system.rise_max", rise, 0)
+        _above(report, "system.settle_max", settle, 0)
+        _at_least(report, "system.overshoot_max", overshoot, 0)
         make = lambda: (indicators.step_spec(three_parameter_servo, *limits), 3, None)
     elif kind == "servo_stability":
         make = lambda: (indicators.servo_stability_indicator(), 3, None)

@@ -218,6 +218,11 @@ class TestRun:
             ("emit_bbp", {"emit_bbp": "no"}),
             ("system.a", {"system": state_space(a=[["-1"]], b=[[1]], c=[[1]])}),
             ("system.b", {"system": state_space(a=[[-1]], b=[[True]], c=[[1]])}),
+            # step_servo limits: positive times, a non-negative overshoot
+            ("system.rise_max", {"system": {"kind": "step_servo", "rise_max": -1}}),
+            ("system.rise_max", {"system": {"kind": "step_servo", "rise_max": 0}}),
+            ("system.settle_max", {"system": {"kind": "step_servo", "settle_max": 0.0}}),
+            ("system.overshoot_max", {"system": {"kind": "step_servo", "overshoot_max": -0.1}}),
         ],
     )
     def test_malformed_field_is_config_error(

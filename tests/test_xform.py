@@ -5,6 +5,8 @@ import pytest
 
 from robkit.indicators import layered_bbp, layered_phi, layered_scriptp
 from robkit.xform import (
+    BLOCK,
+    SPAN,
     CurveGrid,
     PhiFunction,
     bbp_from_phi,
@@ -12,6 +14,42 @@ from robkit.xform import (
     scriptp_from_bbp,
     scriptp_from_phi,
 )
+
+
+def _bbp_loop(curve):
+    """The forward recursion one cell at a time: the reference for
+    bbp_from_scriptp's raw values."""
+    n, r, p = curve.dim, curve.radii, curve.values
+    out = np.empty_like(p)
+    out[0] = p[0]
+    for k in range(len(r) - 1):
+        log_q = n * math.log(r[k] / r[k + 1])  # q = (r_k / r_{k+1})^n
+        # (n-1) * c * q * (1/q - 1) == (n-1) * c * (1 - q)
+        cell = (n - 1) * p[k] * (-math.expm1(log_q))
+        out[k + 1] = n * p[k + 1] - math.exp(log_q) * (n * p[k] - out[k]) - cell
+    return out
+
+
+def _scriptp_loop(curve):
+    """The reverse recursion one trapezoid cell at a time: the reference for
+    scriptp_from_bbp's raw values."""
+    n, r, b = curve.dim, curve.radii, curve.values
+    out = np.empty_like(b)
+    out[0] = b[0]
+    for k in range(len(r) - 1):
+        h = r[k + 1] - r[k]
+        cell = 0.5 * h * (b[k] + b[k + 1])
+        out[k + 1] = (
+            b[k + 1] / n
+            + (r[k] / r[k + 1]) * (out[k] - b[k] / n)
+            + (n - 1) / n * cell / r[k + 1]
+        )
+    return out
+
+
+def random_walk(size, seed):
+    rng = np.random.default_rng(seed)
+    return np.clip(0.5 + np.cumsum(rng.normal(0.0, 0.01, size)), 0.0, 1.0)
 
 
 def step_phi(rho0):
@@ -95,6 +133,44 @@ class TestDimensionOne:
         assert np.allclose(scriptp_from_bbp(c).values, vals, atol=1e-12)
 
 
+class TestPrefixSumsMatchLoops:
+    """The blocked prefix sums against the cell-by-cell recursions.  They
+    add in another order, so the forward transform, whose cell terms reach
+    about n, agrees to 1e-12*n and the reverse one to 1e-12."""
+
+    GRID = np.exp(np.linspace(-3.0, 0.0, 10**5))  # geometric, lambda = e^3
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 100, 400, 1000])
+    def test_geometric_grid(self, n):
+        curve = CurveGrid(self.GRID, random_walk(self.GRID.size, n), n)
+        fwd = bbp_from_scriptp(curve).raw_values
+        back = scriptp_from_bbp(curve).raw_values
+        assert np.isfinite(fwd).all() and np.isfinite(back).all()
+        assert np.max(np.abs(fwd - _bbp_loop(curve))) <= 1e-12 * n
+        assert np.max(np.abs(back - _scriptp_loop(curve))) <= 1e-12
+
+    # at n = 1000 the first cell's weight exp(6214) would overflow
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_cell_wider_than_span(self, n):
+        r = np.array([1e-3, 0.5, 0.6, 1.0])
+        curve = CurveGrid(r, np.array([0.9, 0.3, 0.5, 0.2]), n)
+        assert n * math.log(r[1] / r[0]) > SPAN
+        fwd = bbp_from_scriptp(curve).raw_values
+        assert np.isfinite(fwd).all()
+        assert np.max(np.abs(fwd - _bbp_loop(curve))) <= 1e-12 * n
+
+    def test_many_blocks(self):
+        # a uniform grid from near 0: wide cells first, then blocks that end
+        # at SPAN, then blocks that end after BLOCK cells
+        n, r = 1000, np.linspace(1e-6, 1.0, 10**5)
+        curve = CurveGrid(r, random_walk(r.size, 7), n)
+        widths = n * np.log(r[1:] / r[:-1])
+        assert widths.max() > SPAN and widths.sum() > 5 * SPAN and r.size > 2 * BLOCK
+        fwd = bbp_from_scriptp(curve).raw_values
+        assert np.isfinite(fwd).all()
+        assert np.max(np.abs(fwd - _bbp_loop(curve))) <= 1e-12 * n
+
+
 class TestReciprocalCurveExample:
     # the curve min(1, rho0/r) transforms to min(1, (rho0/r)^n) and back
     def test_forward_hits_tiny_tail_to_absolute_precision(self):
@@ -161,9 +237,11 @@ class TestTransformConsistency:
             dense = arc_graded_grid(cuts, vals, max(20000, 640 * n))
             p = pc_scriptp(cuts, vals, dense)
             out = bbp_from_scriptp(CurveGrid(dense, p, n))
+            assert np.isfinite(out.raw_values).all()
             sub = np.linspace(0, dense.size - 1, 2000).astype(int)
             truth = pc_bbp(cuts, vals, dense[sub], n)
-            worst = max(worst, float(np.max(np.abs(out.values[sub] - truth))))
+            # np.maximum, unlike max(worst, nan) and np.fmax, keeps a NaN
+            worst = np.maximum(worst, np.max(np.abs(out.values[sub] - truth)))
         return worst
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
