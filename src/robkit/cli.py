@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bytes or digits
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, bytes, digits, nesting
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import tf2ss
 
 from .uncsample import (
     BlockShape,
@@ -292,7 +291,7 @@ def step_spec(
     to 90% crossing interval, settling uses a +/-2% band around the final
     value, overshoot is (peak - final)/final.  The final value comes from the
     DC gain, not the last sample; the horizon is 5x the settling limit split
-    into 2000 steps.
+    into 2000 steps.  A response with a non-finite sample raises ValueError.
     """
 
     def fn(delta: UncertaintyInstance) -> int:
@@ -304,6 +303,8 @@ def step_spec(
         if final <= 1e-12:
             return 0
         t, y = _step_response(a, b, c, d, horizon=5.0 * settle_max, n_steps=2000)
+        if not np.isfinite(y).all():
+            raise ValueError(f"step response is not finite at time step {t[0]:g} s")
         yn = y / final
         above10 = np.nonzero(yn >= 0.1)[0]
         above90 = np.nonzero(yn >= 0.9)[0]
@@ -329,19 +330,16 @@ def three_parameter_servo(delta: UncertaintyInstance) -> tuple:
     the two real pole locations.
 
         compensator (s+2)/(s+10),
-        plant 800*(1+0.1*d1) / (s*(s+4+0.2*d2)*(s+6+0.3*d3)).
+        plant k / (s*(s+p)*(s+q)), k = 800*(1+0.1*d1), p = 4+0.2*d2, q = 6+0.3*d3.
+
+    (A, B, C, D) is the companion form of k(s+2) over the monic closed-loop
+    denominator s(s+p)(s+q)(s+10) + k(s+2).
     """
     d1, d2, d3 = delta.coords
-    num_c = np.array([1.0, 2.0])
-    den_c = np.array([1.0, 10.0])
-    num_p = np.array([800.0 * (1.0 + 0.1 * d1)])
-    den_p = np.polymul(np.array([1.0, 0.0]), np.polymul(
-        np.array([1.0, 4.0 + 0.2 * d2]), np.array([1.0, 6.0 + 0.3 * d3])
-    ))
-    num_ol = np.polymul(num_c, num_p)
-    den_ol = np.polymul(den_c, den_p)
-    den_cl = np.polyadd(den_ol, num_ol)
-    return tf2ss(num_ol, den_cl)
+    k, p, q = 800.0 * (1.0 + 0.1 * d1), 4.0 + 0.2 * d2, 6.0 + 0.3 * d3
+    a = np.eye(4, k=-1)
+    a[0] = -(p + q + 10.0), -(p * q + 10.0 * (p + q)), -(10.0 * (p * q) + k), -(2.0 * k)
+    return a, np.eye(4, 1), np.array([[0.0, 0.0, k, 2.0 * k]]), np.zeros((1, 1))
 
 
 def servo_stability_indicator() -> Indicator:

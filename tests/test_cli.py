@@ -243,6 +243,28 @@ class TestRun:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys, command):
+        # json.load raises RecursionError, not ValueError, on deep nesting
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "config error: maximum recursion depth exceeded" in capsys.readouterr().err
+
+    def test_non_finite_step_response_exits_3(self, tmp_path, capsys):
+        # a 1e300 s settling limit makes the step response NaN: a runtime
+        # error, not a failed instance
+        cfg = layered_config(
+            tmp_path,
+            system={"kind": "step_servo", "settle_max": 1e300},
+            grid={"scheme": "uniform", "lambda": 2.0, "a": 1.0, "m": 5},
+            sample={"n": 10},
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: step response is not finite at time step" in err
+        assert "indicator failed on direction 1 at radius" in err
+
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("[1, 2]")

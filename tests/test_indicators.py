@@ -1,8 +1,15 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.signal import BadCoefficients, tf2ss
 from scipy.stats import ortho_group
 
 from robkit import indicators
@@ -212,6 +219,82 @@ class TestServo:
     def test_large_gain_drop_slows_rise(self):
         ind = step_spec(three_parameter_servo, 0.25, 3.5, 0.7)
         assert ind(UncertaintyInstance(np.array([-9.0, 0.0, 0.0]))) == 0
+
+    def test_non_finite_step_response_raises(self):
+        # a 1e300 s settling limit makes the time step 2.5e297 s, and the
+        # discretized loop overflows to NaN; this is an error, not a failed instance
+        ind = step_spec(three_parameter_servo, 0.25, 1e300, 0.7)
+        with pytest.raises(ValueError, match=r"step response is not finite at time step 2\.5e\+297"):
+            ind(UncertaintyInstance(np.zeros(3)))
+
+
+# ---------------------------------------------------------------------------
+# The companion form of three_parameter_servo against the polynomial products
+# and SciPy's tf2ss that built the closed loop before it.
+# ---------------------------------------------------------------------------
+
+
+def tf2ss_servo(coords):
+    """The servo's closed loop by np.polymul, np.polyadd and tf2ss, kept as
+    the oracle of three_parameter_servo."""
+    d1, d2, d3 = coords
+    num_c = np.array([1.0, 2.0])
+    den_c = np.array([1.0, 10.0])
+    num_p = np.array([800.0 * (1.0 + 0.1 * d1)])
+    den_p = np.polymul(np.array([1.0, 0.0]), np.polymul(
+        np.array([1.0, 4.0 + 0.2 * d2]), np.array([1.0, 6.0 + 0.3 * d3])
+    ))
+    num_ol = np.polymul(num_c, num_p)
+    den_ol = np.polymul(den_c, den_p)
+    den_cl = np.polyadd(den_ol, num_ol)
+    with warnings.catch_warnings():
+        # at zero gain tf2ss warns of a vanishing numerator and trims it; the
+        # padded numerator it returns is the same zero row
+        warnings.simplefilter("ignore", BadCoefficients)
+        return tf2ss(num_ol, den_cl)
+
+
+class TestServoCompanionForm:
+    """Every coefficient of the closed loop sums at most two products, so the
+    closed form and the polynomial products round alike, bit for bit."""
+
+    @staticmethod
+    def assert_byte_equal(coords):
+        got = three_parameter_servo(UncertaintyInstance(np.asarray(coords, dtype=float)))
+        want = tf2ss_servo(np.asarray(coords, dtype=float))
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert (g.shape, g.dtype) == (w.shape, w.dtype)
+            assert g.tobytes() == w.tobytes(), (coords, g, w)
+
+    def test_byte_equal_to_tf2ss_on_random_instances(self):
+        rng = np.random.default_rng(15)
+        for coords in rng.uniform(-30.0, 30.0, (10_000, 3)):
+            self.assert_byte_equal(coords)
+
+    # zero gain at d1 = -10 and a pole at the origin at d2 = -20 or d3 = -20,
+    # alone, together and next to negative and positive values
+    @pytest.mark.parametrize(
+        "coords", itertools.product([-10.0, 0.0, 7.5], [-20.0, 0.0, -35.0], [-20.0, 0.0, 13.0])
+    )
+    def test_byte_equal_at_edges(self, coords):
+        self.assert_byte_equal(coords)
+
+    def test_zero_gain_builds_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, _, c, _ = three_parameter_servo(UncertaintyInstance(np.array([-10.0, 0.0, 0.0])))
+        assert not c.any() and a[0, 3] == 0.0
+
+    def test_import_does_not_load_scipy_signal(self):
+        code = "import sys, robkit, robkit.cli; print('scipy.signal' in sys.modules)"
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stdout
+        assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
