@@ -37,7 +37,6 @@ from .reuse import (
     chernoff_n,
     estimate_curve,
     hsra,
-    interpolate,
     predicted_speedup,
     radial_sampling,
     ssra,
@@ -91,7 +90,6 @@ __all__ = [
     "hsra",
     "chernoff_n",
     "estimate_curve",
-    "interpolate",
     "predicted_speedup",
     "RobustnessCurve",
     "ComplexityReport",

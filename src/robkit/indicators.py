@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .uncsample import (
-    BlockShape,
     InvalidInstanceError,
     NormKind,
     ShapeKind,
@@ -26,7 +25,10 @@ from .uncsample import (
 )
 
 BOUNDARY_MARGIN = 1e-9  # eigenvalues this close to the region edge count as outside
+F_RANGE = (1e-3, 1e3)  # half-plane sweep: omega = 0, then geometric over this range
 SOLVE_BLOCK_BYTES = 1 << 19  # bounds the complex s*I - A stack of one transfer_at solve
+STEP_COUNT = 2000  # time steps of a step_spec response, over 5x the settling limit
+RISE_STEPS = 10  # time steps that rise_max must span, so that a rise time is resolved
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,18 @@ class HalfPlane:
 
     sigma_max: float = 0.0
 
+    def inside(self, eigs: np.ndarray, band: float = BOUNDARY_MARGIN) -> bool:
+        """Every eigenvalue lies more than `band` inside the edge."""
+        return bool(np.all(eigs.real < self.sigma_max - band))
+
+    def boundary(self, t):
+        """The edge point sigma_max + i*t, for a scalar or an array t."""
+        return self.sigma_max + 1j * t
+
+    def sweep(self, n_points: int) -> np.ndarray:
+        """Edge parameters of a margin sweep: omega = 0, then geometric over F_RANGE."""
+        return np.concatenate(([0.0], np.geomspace(*F_RANGE, n_points - 1)))
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -60,14 +74,20 @@ class Disk:
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
 
+    def inside(self, eigs: np.ndarray, band: float = BOUNDARY_MARGIN) -> bool:
+        """Every eigenvalue lies more than `band` inside the edge."""
+        return bool(np.all(np.abs(eigs) < self.radius - band))
+
+    def boundary(self, t):
+        """The edge point radius * e^(i*t), for a scalar or an array t."""
+        return self.radius * np.exp(1j * t)
+
+    def sweep(self, n_points: int) -> np.ndarray:
+        """Edge angles of a margin sweep over [0, pi]: real data are conjugate-symmetric."""
+        return np.linspace(0.0, math.pi, n_points)
+
 
 PoleRegion = HalfPlane | Disk
-
-
-def eigs_in_region(eigs: np.ndarray, region: PoleRegion) -> bool:
-    if isinstance(region, HalfPlane):
-        return bool(np.all(eigs.real < region.sigma_max - BOUNDARY_MARGIN))
-    return bool(np.all(np.abs(eigs) < region.radius - BOUNDARY_MARGIN))
 
 
 @dataclass(frozen=True)
@@ -127,7 +147,7 @@ def region_stability(plant: LtiPlant, region: PoleRegion) -> Indicator:
                 f"block is {d.shape}, plant expects {(rows, cols)}"
             )
         closed = plant.a_mat + plant.b_mat @ d @ plant.c_mat
-        return int(eigs_in_region(np.linalg.eigvals(closed), region))
+        return int(region.inside(np.linalg.eigvals(closed)))
 
     return Indicator(fn, f"pole placement of A + B*Delta*C inside {region}")
 
@@ -148,28 +168,26 @@ def layered_oracle(
     m_layers: int, i: int, j: int, norm_kind: NormKind = NormKind.L2
 ) -> Indicator:
     _check_layered_params(m_layers, i, j)
-    lo_bad = ((i - 1) / m_layers, i / m_layers)
-    hi_bad = ((j - 1) / m_layers, 1.0)
 
     def fn(delta: UncertaintyInstance) -> int:
         return int(layered_phi(m_layers, i, j, unc_norm(delta, norm_kind)))
 
     def batch(coords: np.ndarray) -> np.ndarray:
-        rho = row_norms(coords, norm_kind)
-        bad = (lo_bad[0] <= rho) & (rho < lo_bad[1]) | (hi_bad[0] <= rho) & (rho < hi_bad[1])
-        return np.where(bad, 0, 1)
+        return layered_phi(m_layers, i, j, row_norms(coords, norm_kind)).astype(np.int64)
 
     return Indicator(
         fn, f"layered shells m={m_layers}, bad shells {i} and {j}..{m_layers}", batch
     )
 
 
-def layered_phi(m_layers: int, i: int, j: int, rho: float) -> float:
+def layered_phi(m_layers: int, i: int, j: int, rho):
     """Success probability on the sphere of radius rho for the layered oracle
-    (0 on bad shells, 1 elsewhere)."""
+    (0 on bad shells, 1 elsewhere): a float for a float rho, an array for an
+    array."""
     _check_layered_params(m_layers, i, j)
-    bad = (i - 1) / m_layers <= rho < i / m_layers or (j - 1) / m_layers <= rho < 1.0
-    return 0.0 if bad else 1.0
+    m = m_layers
+    bad = ((i - 1) / m <= rho) & (rho < i / m) | ((j - 1) / m <= rho) & (rho < 1.0)
+    return 1.0 - bad
 
 
 def layered_scriptp(m_layers: int, i: int, j: int, rho: float) -> float:
@@ -228,26 +246,6 @@ def rank_one_oracle(k: int) -> Indicator:
     return Indicator(fn, f"closed-form Hurwitz test of the rank-one family, k={k}")
 
 
-def rank_one_matrix(k: int, coords: np.ndarray) -> np.ndarray:
-    """The assembled A(q) matrix, for cross-validating the closed form."""
-    c = _rank_one_coefficient(k, np.asarray(coords, dtype=float))
-    return -10.0 * np.eye(k) + c * np.ones((k, k))
-
-
-def rank_one_plant(k: int) -> LtiPlant:
-    """Nominal plant (A0 = -10 I, B = C = I) whose perturbed matrix equals
-    rank_one_matrix when Delta = c * ones(k, k)."""
-    return LtiPlant(-10.0 * np.eye(k), np.eye(k), np.eye(k))
-
-
-def rank_one_delta_block(k: int, coords: np.ndarray) -> UncertaintyInstance:
-    """The k x k block c * ones(k,k) such that A0 + B*Delta*C = A(q)."""
-    c = _rank_one_coefficient(k, np.asarray(coords, dtype=float))
-    return UncertaintyInstance(
-        np.full(k * k, c), BlockShape.real_matrix(k, k)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Time-domain step-response specification.
 # ---------------------------------------------------------------------------
@@ -291,18 +289,25 @@ def step_spec(
     to 90% crossing interval, settling uses a +/-2% band around the final
     value, overshoot is (peak - final)/final.  The final value comes from the
     DC gain, not the last sample; the horizon is 5x the settling limit split
-    into 2000 steps.  A response with a non-finite sample raises ValueError.
+    into STEP_COUNT steps.  Limits whose rise_max spans fewer than RISE_STEPS
+    of those steps (settle_max > 40*rise_max) raise ValueError, and so does a
+    response with a non-finite sample.
     """
+    dt = 5.0 * settle_max / STEP_COUNT
+    if rise_max < RISE_STEPS * dt:
+        raise ValueError(
+            f"rise_max {rise_max:g} s spans fewer than {RISE_STEPS} time steps of "
+            f"5*settle_max/{STEP_COUNT} = {dt:g} s"
+        )
 
     def fn(delta: UncertaintyInstance) -> int:
         a, b, c, d = (np.atleast_2d(np.asarray(mat, dtype=float)) for mat in closed_loop(delta))
-        eigs = np.linalg.eigvals(a)
-        if not eigs_in_region(eigs, HalfPlane(0.0)):
+        if not HalfPlane(0.0).inside(np.linalg.eigvals(a)):
             return 0
         final = (d - c @ np.linalg.solve(a, b)).item()
         if final <= 1e-12:
             return 0
-        t, y = _step_response(a, b, c, d, horizon=5.0 * settle_max, n_steps=2000)
+        t, y = _step_response(a, b, c, d, horizon=5.0 * settle_max, n_steps=STEP_COUNT)
         if not np.isfinite(y).all():
             raise ValueError(f"step response is not finite at time step {t[0]:g} s")
         yn = y / final
@@ -347,6 +352,6 @@ def servo_stability_indicator() -> Indicator:
 
     def fn(delta: UncertaintyInstance) -> int:
         a, _, _, _ = three_parameter_servo(delta)
-        return int(eigs_in_region(np.linalg.eigvals(np.atleast_2d(a)), HalfPlane(0.0)))
+        return int(HalfPlane(0.0).inside(np.linalg.eigvals(np.atleast_2d(a))))
 
     return Indicator(fn, "three-parameter servo closed-loop stability")

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import HalfPlane, LtiPlant, PoleRegion
+from .indicators import LtiPlant, PoleRegion
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GAMMA_FLOOR = 1e-6  # search on log(gamma) in [log 1e-6, 0] to tame 1/gamma
-F_RANGE = (1e-3, 1e3)  # half-plane sweep: omega = 0, then geometric over this range
 
 
 class NominalInstabilityError(ValueError):
@@ -37,30 +36,8 @@ class MarginResult:
     gamma_at_inf: float | None = None
 
 
-def boundary_point(region: PoleRegion, t):
-    """The boundary point s at parameter t, a scalar or an array: sigma_max +
-    i*t on a half-plane, radius * e^(i*t) on a disk."""
-    if isinstance(region, HalfPlane):
-        return region.sigma_max + 1j * t
-    return region.radius * np.exp(1j * t)
-
-
-def _boundary_points(region: PoleRegion, n_points: int):
-    """Boundary parameters t and the map t -> s on the region boundary."""
-    if isinstance(region, HalfPlane):
-        ts = np.concatenate(([0.0], np.geomspace(*F_RANGE, n_points - 1)))
-    else:
-        ts = np.linspace(0.0, math.pi, n_points)  # real data: conjugate symmetry
-    return ts, lambda t: boundary_point(region, t)
-
-
 def _check_nominal(plant: LtiPlant, region: PoleRegion) -> None:
-    eigs = np.linalg.eigvals(plant.a_mat)
-    if isinstance(region, HalfPlane):
-        ok = np.all(eigs.real < region.sigma_max)
-    else:
-        ok = np.all(np.abs(eigs) < region.radius)
-    if not ok:
+    if not region.inside(np.linalg.eigvals(plant.a_mat), band=0.0):
         raise NominalInstabilityError("nominal poles are not inside the region")
 
 
@@ -140,13 +117,13 @@ def _real_objective(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sweep(plant, region, objective, n_points):
     """Boundary supremum of a stacked objective: every grid point at once,
     then a golden-section refinement around the best one."""
-    ts, to_s = _boundary_points(region, n_points)
-    vals = objective(plant.transfer_at(to_s(ts)))
+    ts = region.sweep(n_points)
+    vals = objective(plant.transfer_at(region.boundary(ts)))
     best = int(np.argmax(vals))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]
     t_star, v_star = _golden_max(
-        lambda t, _: objective(plant.transfer_at(to_s(t))), [lo], [hi]
+        lambda t, _: objective(plant.transfer_at(region.boundary(t))), [lo], [hi]
     )
     if vals[best] >= v_star[0]:
         return float(ts[best]), float(vals[best])
@@ -170,17 +147,8 @@ def real_margin(plant: LtiPlant, region: PoleRegion, n_points: int = 2048) -> Ma
     t_star, sup = _sweep(plant, region, lambda m: _real_objective(m)[0], n_points)
     if sup <= 0:
         return MarginResult(math.inf, "real", t_star, 1.0)
-    _, gamma = _real_objective(plant.transfer_at([boundary_point(region, t_star)]))
+    _, gamma = _real_objective(plant.transfer_at([region.boundary(t_star)]))
     return MarginResult(1.0 / sup, "real", t_star, float(gamma[0]))
-
-
-def complex_margin_bruteforce(
-    plant: LtiPlant, region: PoleRegion, n_points: int = 8192
-) -> float:
-    """Dense-grid oracle for the complex margin (no refinement step)."""
-    _check_nominal(plant, region)
-    ts, to_s = _boundary_points(region, n_points)
-    return 1.0 / float(np.max(_sigma_max(plant.transfer_at(to_s(ts)))))
 
 
 def destabilizing_delta(
@@ -191,6 +159,6 @@ def destabilizing_delta(
     radius reaches the complex margin (and pushes an eigenvalue across the
     boundary slightly above it)."""
     res = complex_margin(plant, region, n_points)
-    m_val = plant.transfer_at(boundary_point(region, res.frequency_at_sup))
+    m_val = plant.transfer_at(region.boundary(res.frequency_at_sup))
     u, _, vh = np.linalg.svd(m_val)
     return radius * np.outer(vh[0].conj(), u[:, 0].conj())

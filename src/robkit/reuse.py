@@ -392,11 +392,3 @@ def estimate_curve(h: SegFun, n_samples: int, grid: RadiusGrid) -> RobustnessCur
         inf_values=np.minimum.accumulate(values),
         n_samples=n_samples,
     )
-
-
-def interpolate(curve: RobustnessCurve, r: float) -> float:
-    """Linear interpolation of the curve between its grid knots."""
-    radii = curve.grid.radii
-    if r < radii[0] or r > radii[-1]:
-        raise OutOfRangeError(f"radius {r} outside [{radii[0]}, {radii[-1]}]")
-    return float(np.interp(r, radii, curve.values))

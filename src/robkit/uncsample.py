@@ -155,8 +155,9 @@ def _as_generator(rng) -> Generator:
 
 
 def row_norms(x: np.ndarray, kind: NormKind) -> np.ndarray:
-    """`norm` of each row of a 2-d array, bit for bit: the l2 sums of
-    squares are the per-row dot products, as a stacked matmul."""
+    """The norm of each row of a 2-d array; `norm` is this on one row.  The
+    l2 sums of squares are per-row dot products, as a stacked matmul, which
+    round as `np.linalg.norm` does on one vector."""
     if kind is NormKind.L1:
         return np.sum(np.abs(x), axis=1)
     if kind is NormKind.L2:
@@ -169,12 +170,7 @@ def norm(delta: UncertaintyInstance, kind: NormKind) -> float:
 
     For matrix blocks L2 acts on the flat coordinates, i.e. the Frobenius norm.
     """
-    coords = delta.coords
-    if kind is NormKind.L1:
-        return float(np.sum(np.abs(coords)))
-    if kind is NormKind.L2:
-        return float(np.linalg.norm(coords))
-    return float(np.max(np.abs(coords)))
+    return float(row_norms(delta.coords[None], kind)[0])
 
 
 def surface_points(d: int, kind: NormKind, rng, count: int) -> np.ndarray:

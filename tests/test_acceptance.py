@@ -18,18 +18,12 @@ from robkit.indicators import (
     layered_bbp,
     layered_oracle,
     layered_scriptp,
-    rank_one_delta_block,
     rank_one_oracle,
-    rank_one_plant,
     region_stability,
 )
-from robkit.margins import (
-    complex_margin,
-    complex_margin_bruteforce,
-    destabilizing_delta,
-    real_margin,
-)
+from robkit.margins import complex_margin, destabilizing_delta, real_margin
 from robkit.uncsample import UncertaintyInstance
+from reference import complex_margin_bruteforce, rank_one_delta_block, rank_one_plant
 
 
 def announce(capsys, num, ok, detail):

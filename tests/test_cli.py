@@ -223,6 +223,8 @@ class TestRun:
             ("system.rise_max", {"system": {"kind": "step_servo", "rise_max": 0}}),
             ("system.settle_max", {"system": {"kind": "step_servo", "settle_max": 0.0}}),
             ("system.overshoot_max", {"system": {"kind": "step_servo", "overshoot_max": -0.1}}),
+            # a time step of 2500 s: rise_max = 0.25 s spans under 10 of them
+            ("system", {"system": {"kind": "step_servo", "settle_max": 1e6}}),
         ],
     )
     def test_malformed_field_is_config_error(
@@ -256,7 +258,7 @@ class TestRun:
         # error, not a failed instance
         cfg = layered_config(
             tmp_path,
-            system={"kind": "step_servo", "settle_max": 1e300},
+            system={"kind": "step_servo", "rise_max": 1e299, "settle_max": 1e300},
             grid={"scheme": "uniform", "lambda": 2.0, "a": 1.0, "m": 5},
             sample={"n": 10},
         )

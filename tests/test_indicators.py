@@ -18,10 +18,7 @@ from robkit.indicators import (
     HalfPlane,
     LtiPlant,
     layered_oracle,
-    rank_one_delta_block,
-    rank_one_matrix,
     rank_one_oracle,
-    rank_one_plant,
     region_stability,
     servo_stability_indicator,
     step_spec,
@@ -35,6 +32,7 @@ from robkit.uncsample import (
     row_norms,
     surface_points,
 )
+from reference import rank_one_delta_block, rank_one_matrix, rank_one_plant
 
 
 def block(mat):
@@ -63,6 +61,20 @@ class TestRegionStability:
         ind = region_stability(plant, HalfPlane(0.0))
         with pytest.raises(InvalidInstanceError):
             ind(UncertaintyInstance(np.array([0.1])))
+
+    # an eigenvalue 5e-10 inside the edge lies in the indicators' 1e-9 band
+    @pytest.mark.parametrize(
+        "region, eigs",
+        [
+            (HalfPlane(-0.5), [-0.5 - 5e-10 + 2j, -0.5 - 5e-10 - 2j, -3.0]),
+            (Disk(2.0), [(2.0 - 5e-10) * np.exp(0.3j), (2.0 - 5e-10) * np.exp(-0.3j), 0.1]),
+        ],
+    )
+    def test_boundary_band(self, region, eigs):
+        eigs = np.array(eigs)
+        assert not region.inside(eigs)
+        assert region.inside(eigs, band=0.0)
+        assert region.inside(eigs[-1:])
 
     def test_deterministic(self):
         plant = LtiPlant(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
@@ -122,9 +134,16 @@ class TestLayeredOracle:
         ind = layered_oracle(m_layers, 11, 19, kind)
         rng = np.random.default_rng(31)
         edges = np.arange(1, m_layers + 1) / m_layers
+        # axis rows of norm exactly (i-1)/m, i/m, (j-1)/m and 1, and their neighbours
+        exact = np.array([10 / 20, 11 / 20, 18 / 20, 1.0])
+        exact = np.concatenate([exact, np.nextafter(exact, 0), np.nextafter(exact, 2)])
         total = 0
         for d in (3, 50, 200):
+            axis = np.zeros((2 * exact.size, d))
+            axis[:, 0] = np.concatenate([exact, -exact])
+            assert np.array_equal(row_norms(axis, kind), np.abs(axis[:, 0]))
             coords = np.concatenate([
+                axis,
                 self.edge_rows(kind, d, edges, 500, rng),
                 surface_points(d, kind, rng, 14_000) * rng.uniform(0, 1.2, (14_000, 1)),
             ])
@@ -200,6 +219,14 @@ class TestStepSpec:
         ind = step_spec(slow, 100.0, 3.5, 100.0)
         assert ind(UncertaintyInstance(np.zeros(1))) == 0
 
+    def test_rise_limit_under_ten_time_steps_rejected(self):
+        # the 2000 time steps span 5*settle_max, so settle_max = 10 s makes
+        # rise_max = 0.25 s exactly 10 steps and anything longer makes it fewer
+        assert step_spec(self.first_order_loop, 0.25, 10.0, 0.7).description
+        for settle_max in (np.nextafter(10.0, np.inf), 1e6):
+            with pytest.raises(ValueError, match="rise_max 0.25 s spans fewer than 10 time steps"):
+                step_spec(self.first_order_loop, 0.25, settle_max, 0.7)
+
     def test_unstable_loop_always_fails(self):
         def unstable(delta):
             return np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
@@ -223,7 +250,7 @@ class TestServo:
     def test_non_finite_step_response_raises(self):
         # a 1e300 s settling limit makes the time step 2.5e297 s, and the
         # discretized loop overflows to NaN; this is an error, not a failed instance
-        ind = step_spec(three_parameter_servo, 0.25, 1e300, 0.7)
+        ind = step_spec(three_parameter_servo, 1e299, 1e300, 0.7)
         with pytest.raises(ValueError, match=r"step response is not finite at time step 2\.5e\+297"):
             ind(UncertaintyInstance(np.zeros(3)))
 

@@ -10,13 +10,12 @@ from robkit.margins import (
     GOLDEN,
     MarginResult,
     NominalInstabilityError,
-    _boundary_points,
     _real_objective,
     complex_margin,
-    complex_margin_bruteforce,
     destabilizing_delta,
     real_margin,
 )
+from reference import complex_margin_bruteforce
 
 
 def random_stable_plant(rng, n, n_in=2, n_out=2):
@@ -78,8 +77,7 @@ class TestStackedObjective:
         rng = np.random.default_rng(11)
         for n, n_in, n_out in ((2, 2, 2), (4, 2, 2), (3, 1, 3), (5, 3, 2)):
             plant = make_plant(rng, n, n_in, n_out)
-            ts, to_s = _boundary_points(region, 96)
-            stack = plant.transfer_at(to_s(ts))
+            stack = plant.transfer_at(region.boundary(region.sweep(96)))
             values, gammas = _real_objective(stack)
             # omega = 0 and theta = 0, pi take the real-M branch
             real_points = [0, -1] if isinstance(region, Disk) else [0]

