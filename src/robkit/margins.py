@@ -8,7 +8,14 @@ is unimodal in g.
 
 Both sweeps evaluate M(s) for all boundary points with one stacked solve and
 the objective on the whole stack; the golden-section search over g runs for
-all points in lockstep, one stacked SVD per iteration.
+all points in lockstep, one stacked SVD per iteration.  The real sweep needs
+only the argmax and its value, so it stops every point that can no longer be
+the argmax: a point's smallest sigma_2 so far bounds its final value from
+above, and once that bound is strictly below the converged value of another
+point the search there stops.  The sweep's values are then exact at the
+argmax and at every point searched to convergence, and upper bounds below
+the maximum elsewhere; argmax and maximum equal those of the full search bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from .indicators import LtiPlant, PoleRegion
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GAMMA_FLOOR = 1e-6  # search on log(gamma) in [log 1e-6, 0] to tame 1/gamma
+# points searched to convergence first, by largest sigma_2 at gamma = 1, so
+# that their best value can stop the search at every other point
+SEED_LANES = 16
 
 
 class NominalInstabilityError(ValueError):
@@ -41,14 +51,21 @@ def _check_nominal(plant: LtiPlant, region: PoleRegion) -> None:
         raise NominalInstabilityError("nominal poles are not inside the region")
 
 
-def _golden_max(f, lo, hi, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max(
+    f, lo, hi, tol: float = 1e-10, floor: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximization of independent lanes in lockstep.
 
     lo and hi are 1-D arrays of interval ends, one per lane; f(x, lanes)
     returns the objective of lanes `lanes` at the points x.  Each lane follows
     the scalar update and stopping rule and freezes once its own interval is
     below tolerance, so f is called once per iteration for all live lanes.
-    Returns the (argmax, max) arrays.
+    A lane also freezes once its best value so far, max(f1, f2), is strictly
+    above `floor`; that best value only grows, so it is a lower bound on the
+    lane's converged maximum.
+    Returns the (argmax, max) arrays: converged values for the lanes that
+    never passed the floor, bit-equal to a run without one, and for frozen
+    lanes the best point and value at the step they froze.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -58,7 +75,8 @@ def _golden_max(f, lo, hi, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     f1, f2 = f(x1, live), f(x2, live)
     while True:
         lo_l, hi_l = lo[live], hi[live]
-        live = live[hi_l - lo_l > tol * np.maximum(1.0, np.abs(lo_l) + np.abs(hi_l))]
+        keep = hi_l - lo_l > tol * np.maximum(1.0, np.abs(lo_l) + np.abs(hi_l))
+        live = live[keep & ~(np.maximum(f1[live], f2[live]) > floor)]
         if not live.size:
             break
         up = f1[live] < f2[live]
@@ -85,13 +103,26 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _real_objective(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _real_objective(m: np.ndarray, prune: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of a (P, out, in) stack: inf over gamma in (0,1] of sigma_2
-    of the real block matrix, and the gamma attaining it."""
+    of the real block matrix, and the gamma attaining it.
+
+    A matrix whose largest imaginary part is at most 1e-14 times its largest
+    entry's modulus takes the real branch, sigma_1 of Re M at gamma = 1.
+    With `prune`, which real_margin's sweep sets, and more than SEED_LANES
+    matrices to search, the SEED_LANES with the largest sigma_2 at gamma = 1
+    are searched to convergence first; the largest of their values and of
+    the real-branch values is a floor, and the search stops at every other
+    matrix once its smallest sigma_2 so far is strictly below it.  Such a
+    matrix gets that sigma_2 and its gamma: the value is an upper bound on
+    the full search's and strictly below the maximum.  Every other value and
+    gamma is the full search's, so the argmax and the maximum are unchanged
+    bit for bit.
+    """
     re, im = m.real, m.imag
     values = np.empty(len(m))
     gammas = np.ones(len(m))
-    real = np.max(np.abs(im), axis=(-2, -1)) < 1e-14
+    real = np.max(np.abs(im), axis=(-2, -1)) <= 1e-14 * np.max(np.abs(m), axis=(-2, -1))
     # the block matrix is Re M twice: sigma_2 of the duplicated spectrum is sigma_1
     values[real] = np.linalg.svd(re[real], compute_uv=False)[:, 0]
     lanes = np.flatnonzero(~real)
@@ -106,11 +137,27 @@ def _real_objective(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
         return -np.linalg.svd(block, compute_uv=False)[:, 1]
 
-    log_g, neg = _golden_max(
-        neg_sigma2, np.full(lanes.size, math.log(GAMMA_FLOOR)), np.zeros(lanes.size), tol=1e-8
-    )
-    values[lanes] = -neg
-    gammas[lanes] = _libm_exp(log_g)
+    def search(sub, floor=math.inf):
+        log_g, neg = _golden_max(
+            lambda x, live: neg_sigma2(x, sub[live]),
+            np.full(sub.size, math.log(GAMMA_FLOOR)),
+            np.zeros(sub.size),
+            tol=1e-8,
+            floor=floor,
+        )
+        values[lanes[sub]] = -neg
+        gammas[lanes[sub]] = _libm_exp(log_g)
+
+    every = np.arange(lanes.size)
+    if not prune or lanes.size <= SEED_LANES:
+        search(every)
+        return values, gammas
+    seeded = np.zeros(lanes.size, dtype=bool)
+    seeded[np.argsort(neg_sigma2(np.zeros(lanes.size), every))[:SEED_LANES]] = True
+    search(every[seeded])
+    done = real.copy()
+    done[lanes[seeded]] = True
+    search(every[~seeded], floor=-np.max(values[done]))
     return values, gammas
 
 
@@ -144,7 +191,7 @@ def real_margin(plant: LtiPlant, region: PoleRegion, n_points: int = 2048) -> Ma
     """Smallest destabilizing real-block size via the second-singular-value
     criterion, minimized over the skew parameter at every boundary point."""
     _check_nominal(plant, region)
-    t_star, sup = _sweep(plant, region, lambda m: _real_objective(m)[0], n_points)
+    t_star, sup = _sweep(plant, region, lambda m: _real_objective(m, prune=True)[0], n_points)
     if sup <= 0:
         return MarginResult(math.inf, "real", t_star, 1.0)
     _, gamma = _real_objective(plant.transfer_at([region.boundary(t_star)]))

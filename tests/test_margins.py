@@ -10,6 +10,7 @@ from robkit.margins import (
     GOLDEN,
     MarginResult,
     NominalInstabilityError,
+    _golden_max,
     _real_objective,
     complex_margin,
     destabilizing_delta,
@@ -55,7 +56,7 @@ def scalar_golden_max(f, lo, hi, tol):
 def scalar_real_objective(m_val):
     """inf over gamma of sigma_2 of the real block matrix at one point."""
     re, im = m_val.real, m_val.imag
-    if np.max(np.abs(im)) < 1e-14:
+    if np.max(np.abs(im)) <= 1e-14 * np.max(np.abs(m_val)):
         sv = np.linalg.svd(re, compute_uv=False)
         return float(np.sort(np.concatenate([sv, sv]))[::-1][1]), 1.0
 
@@ -87,6 +88,29 @@ class TestStackedObjective:
                 assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
                 assert gamma == pytest.approx(ref_gamma, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        "region, make_plant",
+        [(HalfPlane(0.0), random_stable_plant), (Disk(1.0), random_schur_plant)],
+    )
+    def test_pruned_sweep_keeps_argmax_and_maximum(self, region, make_plant):
+        rng = np.random.default_rng(13)
+        pruned_lanes = 0
+        for n, n_in, n_out in ((2, 2, 2), (4, 2, 2), (6, 2, 2), (3, 1, 3), (5, 3, 2), (6, 3, 3)):
+            plant = make_plant(rng, n, n_in, n_out)
+            stack = plant.transfer_at(region.boundary(region.sweep(384)))
+            full, _ = _real_objective(stack)
+            pruned, _ = _real_objective(stack, prune=True)
+            best = int(np.argmax(full))
+            assert int(np.argmax(pruned)) == best
+            assert pruned[best].tobytes() == full[best].tobytes()
+            # a stopped search keeps its smallest sigma_2 so far: an upper
+            # bound on the full search's value, strictly below the maximum
+            assert np.all(pruned >= full)
+            moved = pruned != full
+            assert np.all(pruned[moved] < full[best])
+            pruned_lanes += int(moved.sum())
+        assert pruned_lanes > 0
+
     # (4, 4, 2) has as many inputs as states, where a 2-D right-hand side of
     # a stacked solve is ambiguous
     @pytest.mark.parametrize("n, n_in, n_out", [(4, 3, 2), (4, 4, 2)])
@@ -105,6 +129,55 @@ class TestStackedObjective:
         # blocks of 3 points: several solves and a short last block
         monkeypatch.setattr(indicators, "SOLVE_BLOCK_BYTES", 3 * 16 * n * n)
         assert np.array_equal(plant.transfer_at(s), stacked)
+
+
+class TestGoldenFloor:
+    PEAKS = np.array([0.3, -1.2, 2.5, 0.0, 4.1, -3.3])
+    HEIGHTS = np.array([1.0, 5.0, -2.0, 3.0, 0.5, 4.0])
+    FLOOR = 2.0
+
+    def _run(self, floor):
+        """Lanes of -(x - peak)^2 + height; also counts each lane's calls."""
+        seen = []
+
+        def f(x, lanes):
+            seen.append(lanes.copy())
+            return -((x - self.PEAKS[lanes]) ** 2) + self.HEIGHTS[lanes]
+
+        lo = np.full(self.PEAKS.size, -5.0)
+        hi = np.full(self.PEAKS.size, 5.0)
+        x, v = _golden_max(f, lo, hi, tol=1e-10, floor=floor)
+        return x, v, np.bincount(np.concatenate(seen), minlength=self.PEAKS.size)
+
+    def test_lanes_below_floor_unchanged(self):
+        x0, v0, calls0 = self._run(math.inf)
+        x1, v1, calls1 = self._run(self.FLOOR)
+        below = self.HEIGHTS <= self.FLOOR
+        assert x1[below].tobytes() == x0[below].tobytes()
+        assert v1[below].tobytes() == v0[below].tobytes()
+        assert np.array_equal(calls1[below], calls0[below])
+
+    def test_frozen_lane_best_is_past_floor_and_a_lower_bound(self):
+        _, v0, calls0 = self._run(math.inf)
+        _, v1, calls1 = self._run(self.FLOOR)
+        above = self.HEIGHTS > self.FLOOR
+        assert np.all(calls1[above] < calls0[above])
+        assert np.all(v1[above] > self.FLOOR)
+        assert np.all(v1[above] <= v0[above])
+
+    def test_lane_tying_floor_not_frozen(self):
+        floor = 0.75
+
+        def f(x, lanes):
+            # lane 0 is flat at the floor; lane 1 rises to it and stays there
+            flat = np.full(x.shape, floor)
+            return np.where(lanes == 0, flat, np.minimum(floor, 1.0 - x**2))
+
+        lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 3.0])
+        x0, v0 = _golden_max(f, lo, hi)
+        x1, v1 = _golden_max(f, lo, hi, floor=floor)
+        assert x1.tobytes() == x0.tobytes() and v1.tobytes() == v0.tobytes()
+        assert np.all(v1 == floor)
 
 
 class TestScalarExamples:
@@ -133,6 +206,17 @@ class TestScalarExamples:
             complex_margin(plant, HalfPlane(0.0))
         res = real_margin(plant, HalfPlane(0.0))
         assert res.value == math.inf and res.gamma_at_inf == 1.0
+
+    @pytest.mark.parametrize("c", [1e-15, 1e-18, 1e3])
+    def test_real_margin_scales_with_output_matrix(self, c):
+        # the real-M branch is chosen relative to M's size: at 1e-15 an
+        # absolute threshold sent every boundary point there
+        plant = random_stable_plant(np.random.default_rng(9), 6)
+        scaled = LtiPlant(plant.a_mat, plant.b_mat, c * plant.c_mat)
+        ref = real_margin(plant, HalfPlane(0.0), n_points=256)
+        res = real_margin(scaled, HalfPlane(0.0), n_points=256)
+        assert ref.frequency_at_sup > 0
+        assert res.value * c == pytest.approx(ref.value, rel=1e-9, abs=0)
 
     def test_nominal_instability_rejected(self):
         plant = LtiPlant([[1.0]], [[1.0]], [[1.0]])
