@@ -266,6 +266,9 @@ def parse_config(raw):
     if raw.get("seed") is None:
         report.warnings.append("seed: missing, defaulted to 0")
     seed = _field(report, raw, "seed", int, 0)
+    # the streams key on seed mod 2**64, so a seed outside would alias one inside
+    if seed is not None and not 0 <= seed < 2**64:
+        report.errors.append(f"seed: must be in [0, 2**64), got {seed}")
     out_dir = raw.get("out", ".")
     if not isinstance(out_dir, str):
         report.errors.append(f"out: must be a path string, got {out_dir!r}")

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .uncsample import (
+    BlockShape,
     InvalidInstanceError,
     NormKind,
     ShapeKind,
@@ -34,12 +35,12 @@ RISE_STEPS = 10  # time steps that rise_max must span, so that a rise time is re
 @dataclass(frozen=True)
 class Indicator:
     """fn decides one instance.  batch, where given, decides a stack of
-    instances at once: their flat coords, shape (S, d), to S decisions, each
-    the same as fn on that row."""
+    instances at once: their flat coords, shape (S, d), and their common
+    block shape, to S decisions, each the same as fn on that row."""
 
     fn: Callable[[UncertaintyInstance], int]
     description: str
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
+    batch: Callable[[np.ndarray, BlockShape], np.ndarray] | None = None
 
     def __call__(self, delta: UncertaintyInstance) -> int:
         return self.fn(delta)
@@ -51,9 +52,10 @@ class HalfPlane:
 
     sigma_max: float = 0.0
 
-    def inside(self, eigs: np.ndarray, band: float = BOUNDARY_MARGIN) -> bool:
-        """Every eigenvalue lies more than `band` inside the edge."""
-        return bool(np.all(eigs.real < self.sigma_max - band))
+    def inside(self, eigs: np.ndarray, band: float = BOUNDARY_MARGIN) -> np.ndarray:
+        """Whether every eigenvalue lies more than `band` inside the edge,
+        reduced along the last axis: one bool per spectrum of a stack."""
+        return np.all(eigs.real < self.sigma_max - band, axis=-1)
 
     def boundary(self, t):
         """The edge point sigma_max + i*t, for a scalar or an array t."""
@@ -74,9 +76,10 @@ class Disk:
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
 
-    def inside(self, eigs: np.ndarray, band: float = BOUNDARY_MARGIN) -> bool:
-        """Every eigenvalue lies more than `band` inside the edge."""
-        return bool(np.all(np.abs(eigs) < self.radius - band))
+    def inside(self, eigs: np.ndarray, band: float = BOUNDARY_MARGIN) -> np.ndarray:
+        """Whether every eigenvalue lies more than `band` inside the edge,
+        reduced along the last axis: one bool per spectrum of a stack."""
+        return np.all(np.abs(eigs) < self.radius - band, axis=-1)
 
     def boundary(self, t):
         """The edge point radius * e^(i*t), for a scalar or an array t."""
@@ -135,21 +138,28 @@ class LtiPlant:
 def region_stability(plant: LtiPlant, region: PoleRegion) -> Indicator:
     """1 iff every eigenvalue of A + B*Delta*C lies strictly inside the region
     (a 1e-9 boundary band counts as outside)."""
-    rows = plant.b_mat.shape[1]
-    cols = plant.c_mat.shape[0]
+    block = (plant.b_mat.shape[1], plant.c_mat.shape[0])
+
+    def check(shape: BlockShape) -> None:
+        if shape.kind is ShapeKind.VECTOR:
+            raise InvalidInstanceError("stability check needs a matrix-shaped block")
+        if (shape.rows, shape.cols) != block:
+            raise InvalidInstanceError(
+                f"block is {(shape.rows, shape.cols)}, plant expects {block}"
+            )
 
     def fn(delta: UncertaintyInstance) -> int:
-        if delta.shape.kind is ShapeKind.VECTOR:
-            raise InvalidInstanceError("stability check needs a matrix-shaped block")
-        d = delta.as_matrix()
-        if d.shape != (rows, cols):
-            raise InvalidInstanceError(
-                f"block is {d.shape}, plant expects {(rows, cols)}"
-            )
-        closed = plant.a_mat + plant.b_mat @ d @ plant.c_mat
+        check(delta.shape)
+        closed = plant.a_mat + plant.b_mat @ delta.as_matrix() @ plant.c_mat
         return int(region.inside(np.linalg.eigvals(closed)))
 
-    return Indicator(fn, f"pole placement of A + B*Delta*C inside {region}")
+    def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
+        # stacked matmul and eigvals run the per-matrix BLAS and LAPACK calls
+        check(shape)
+        closed = plant.a_mat + plant.b_mat @ shape.matrices(coords) @ plant.c_mat
+        return region.inside(np.linalg.eigvals(closed)).astype(np.int64)
+
+    return Indicator(fn, f"pole placement of A + B*Delta*C inside {region}", batch)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def layered_oracle(
     def fn(delta: UncertaintyInstance) -> int:
         return int(layered_phi(m_layers, i, j, unc_norm(delta, norm_kind)))
 
-    def batch(coords: np.ndarray) -> np.ndarray:
+    def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
         return layered_phi(m_layers, i, j, row_norms(coords, norm_kind)).astype(np.int64)
 
     return Indicator(
@@ -231,11 +241,15 @@ def layered_bbp(m_layers: int, i: int, j: int, d: int, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_coefficient(k: int, coords: np.ndarray) -> float:
+def _rank_one_weights(k: int, width: int) -> np.ndarray:
     d = k * k
-    if coords.size != d:
+    if width != d:
         raise InvalidInstanceError(f"expected {d} coords for k={k}")
-    return float(coords @ np.sqrt(np.arange(1, d + 1)))
+    return np.sqrt(np.arange(1, d + 1))
+
+
+def _rank_one_coefficient(k: int, coords: np.ndarray) -> float:
+    return float(coords @ _rank_one_weights(k, coords.size))
 
 
 def rank_one_oracle(k: int) -> Indicator:
@@ -243,7 +257,14 @@ def rank_one_oracle(k: int) -> Indicator:
         c = _rank_one_coefficient(k, delta.coords)
         return int(k * c < 10.0)
 
-    return Indicator(fn, f"closed-form Hurwitz test of the rank-one family, k={k}")
+    def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
+        # per-row dot products as a stacked matmul, which round as the 1-d
+        # dot does; a plain (S, d) @ (d,) product may sum in another order
+        w = _rank_one_weights(k, coords.shape[1])
+        c = (coords[:, None, :] @ w[:, None])[:, 0, 0]
+        return (k * c < 10.0).astype(np.int64)
+
+    return Indicator(fn, f"closed-form Hurwitz test of the rank-one family, k={k}", batch)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +362,17 @@ def three_parameter_servo(delta: UncertaintyInstance) -> tuple:
     denominator s(s+p)(s+q)(s+10) + k(s+2).
     """
     d1, d2, d3 = delta.coords
-    k, p, q = 800.0 * (1.0 + 0.1 * d1), 4.0 + 0.2 * d2, 6.0 + 0.3 * d3
+    k, first = _servo_coefficients(d1, d2, d3)
     a = np.eye(4, k=-1)
-    a[0] = -(p + q + 10.0), -(p * q + 10.0 * (p + q)), -(10.0 * (p * q) + k), -(2.0 * k)
+    a[0] = first
     return a, np.eye(4, 1), np.array([[0.0, 0.0, k, 2.0 * k]]), np.zeros((1, 1))
+
+
+def _servo_coefficients(d1, d2, d3) -> tuple:
+    """The servo's gain k and the first row of its companion A, for scalar
+    coordinates or for (S,) columns of them."""
+    k, p, q = 800.0 * (1.0 + 0.1 * d1), 4.0 + 0.2 * d2, 6.0 + 0.3 * d3
+    return k, (-(p + q + 10.0), -(p * q + 10.0 * (p + q)), -(10.0 * (p * q) + k), -(2.0 * k))
 
 
 def servo_stability_indicator() -> Indicator:
@@ -354,4 +382,11 @@ def servo_stability_indicator() -> Indicator:
         a, _, _, _ = three_parameter_servo(delta)
         return int(HalfPlane(0.0).inside(np.linalg.eigvals(np.atleast_2d(a))))
 
-    return Indicator(fn, "three-parameter servo closed-loop stability")
+    def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
+        d1, d2, d3 = coords.T
+        _, first = _servo_coefficients(d1, d2, d3)
+        a = np.tile(np.eye(4, k=-1), (coords.shape[0], 1, 1))
+        a[:, 0] = np.stack(first, axis=1)
+        return HalfPlane(0.0).inside(np.linalg.eigvals(a)).astype(np.int64)
+
+    return Indicator(fn, "three-parameter servo closed-loop stability", batch)

@@ -149,9 +149,9 @@ class _Leaves:
     stream 2k+1, as `sample_surface` and `radial_sampling` would.  The radii
     and located indices of a sweep do not depend on the indicator's values,
     so a block's schedule is computed in lockstep first; the indicator then
-    decides all its rows, by `batch` where the indicator has one, else one
-    `__call__` per row in direction-then-step order.  A leaf is its flat
-    delta rows (see `segfun.merge_pairs`)."""
+    decides all its rows, by `batch(coords, shape)` where the indicator has
+    one, else one `__call__` per row in direction-then-step order.  A leaf
+    is its flat delta rows (see `segfun.merge_pairs`)."""
 
     def __init__(self, n, grid, indicator, d, norm_kind, seed, shape):
         if d < 1:
@@ -255,7 +255,7 @@ class _Leaves:
         error = None
         if batch is not None:
             try:
-                val = np.asarray(batch(coords))
+                val = np.asarray(batch(coords, self.shape))
                 if val.shape != row.shape:
                     raise ValueError(f"indicator batch returned shape {val.shape}, not {row.shape}")
                 val = val.astype(np.int64)

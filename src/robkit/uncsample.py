@@ -69,6 +69,17 @@ class BlockShape:
             return 2 * self.rows * self.cols
         return self.rows * self.cols
 
+    def matrices(self, coords: np.ndarray) -> np.ndarray:
+        """Flat coords of shape (..., dim) as (possibly complex) rows x cols
+        blocks, shape (..., rows, cols)."""
+        if self.kind is ShapeKind.VECTOR:
+            raise InvalidInstanceError("vector-shaped instance has no matrix form")
+        lead = coords.shape[:-1]
+        if self.kind is ShapeKind.REAL_MATRIX:
+            return coords.reshape(*lead, self.rows, self.cols)
+        pairs = coords.reshape(*lead, self.rows, self.cols, 2)
+        return pairs[..., 0] + 1j * pairs[..., 1]
+
 
 @dataclass(frozen=True)
 class UncertaintyInstance:
@@ -100,13 +111,7 @@ class UncertaintyInstance:
 
     def as_matrix(self) -> np.ndarray:
         """Materialize the block as a (possibly complex) rows x cols matrix."""
-        s = self.shape
-        if s.kind is ShapeKind.VECTOR:
-            raise InvalidInstanceError("vector-shaped instance has no matrix form")
-        if s.kind is ShapeKind.REAL_MATRIX:
-            return self.coords.reshape(s.rows, s.cols)
-        pairs = self.coords.reshape(s.rows, s.cols, 2)
-        return pairs[..., 0] + 1j * pairs[..., 1]
+        return self.shape.matrices(self.coords)
 
 
 @dataclass(frozen=True)

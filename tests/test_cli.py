@@ -103,6 +103,26 @@ class TestRun:
         main(["run", "--config", str(cfg), "--out", str(out2), "--seed", "99"])
         assert read_outputs(out1)[0] != read_outputs(out2)[0]
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys, seed, via):
+        # the streams key on seed mod 2**64: -1 used to run as 2**64 - 1, and 2**64 as 0
+        cfg = layered_config(tmp_path, **({"seed": seed} if via == "config" else {}))
+        flags = ["--seed", str(seed)] if via == "flag" else []
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert f"config error: seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_range_ends_run(self, tmp_path):
+        cfg = layered_config(tmp_path)
+        outs = []
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / str(seed)
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+            outs.append(read_outputs(out)[0])
+        assert outs[0] != outs[1]
+
     def test_algo_override(self, tmp_path):
         cfg = layered_config(tmp_path)
         out = tmp_path / "out"
@@ -167,7 +187,7 @@ class TestRun:
                 raise RuntimeError("boom")
             return 2
 
-        def batch(coords):
+        def batch(coords, shape):
             over = np.linalg.norm(coords, axis=1) > 0.9
             if failure == "raises" and over.any():
                 raise RuntimeError("boom")

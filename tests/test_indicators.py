@@ -147,7 +147,7 @@ class TestLayeredOracle:
                 self.edge_rows(kind, d, edges, 500, rng),
                 surface_points(d, kind, rng, 14_000) * rng.uniform(0, 1.2, (14_000, 1)),
             ])
-            batch = ind.batch(coords)
+            batch = ind.batch(coords, BlockShape.vector(d))
             single = np.array([ind(UncertaintyInstance(x)) for x in coords])
             assert np.array_equal(batch, single)
             assert 0 < batch.sum() < batch.size
@@ -185,6 +185,120 @@ class TestRankOneFamily:
             assert ind(inst) == eig_ind(rank_one_delta_block(k, q))
             checked += 1
         assert checked > 900
+
+
+# ---------------------------------------------------------------------------
+# Each batch against its indicator's one-instance call, on random instances
+# and on instances bisected to the edge where the decision changes.
+# ---------------------------------------------------------------------------
+
+
+def batch_flips(ind, coords, shape):
+    """The batch's decisions on the rows of coords, and the number of rows on
+    which one call per instance decides otherwise."""
+    batch = ind.batch(coords, shape)
+    single = np.array([ind(UncertaintyInstance(x, shape)) for x in coords])
+    assert batch.shape == single.shape and batch.dtype == np.int64
+    return batch, int(np.count_nonzero(batch != single))
+
+
+def decision_edges(ind, shape, dirs, hi):
+    """Rows U*lo and U*hi, for each direction U whose batch decision is 1 at
+    radius 0 and 0 at `hi`, with [lo, hi] bisected to two adjacent floats
+    between which that decision changes."""
+    decide = lambda r: ind.batch(dirs * r[:, None], shape)
+    lo = np.zeros(len(dirs))
+    hi = np.full(len(dirs), hi)
+    keep = (decide(lo) == 1) & (decide(hi) == 0)
+    dirs, lo, hi = dirs[keep], lo[keep], hi[keep]
+    while True:
+        open_ = np.nextafter(lo, np.inf) < hi
+        if not open_.any():
+            break
+        mid = np.where(open_, 0.5 * (lo + hi), lo)
+        inside = decide(mid) == 1
+        lo = np.where(open_ & inside, mid, lo)
+        hi = np.where(open_ & ~inside, mid, hi)
+    return np.concatenate([dirs * lo[:, None], dirs * hi[:, None]])
+
+
+def random_plant(region, seed):
+    """A 6-state plant with a 2x2 block whose nominal poles lie inside the
+    region: A shifted left of the half-plane edge, or scaled into the disk."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((6, 6))
+    eigs = np.linalg.eigvals(a)
+    if isinstance(region, HalfPlane):
+        a -= (max(eigs.real.max() - region.sigma_max, 0.0) + rng.uniform(0.5, 2.0)) * np.eye(6)
+    else:
+        a *= 0.8 * region.radius / np.abs(eigs).max()
+    return LtiPlant(a, rng.standard_normal((6, 2)), rng.standard_normal((2, 6)))
+
+
+class TestBatchAgreement:
+    """Every batch decides each row as its fn does, with 0 flips."""
+
+    @pytest.mark.parametrize("region", [HalfPlane(-0.5), Disk(2.0)], ids=["half_plane", "disk"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_region_stability(self, region, kind):
+        shape = (BlockShape.real_matrix if kind == "real" else BlockShape.complex_matrix)(2, 2)
+        rng = np.random.default_rng(18)
+        random_rows, edge_rows, flips = 0, 0, 0
+        for seed in (0, 1):
+            ind = region_stability(random_plant(region, seed), region)
+            # three scales of the same directions: mostly inside, mixed, mostly outside
+            dirs = surface_points(shape.dim, NormKind.L2, rng, 1000)
+            for scale in (0.1, 1.0, 10.0):
+                coords = dirs * rng.uniform(0.0, scale, (1000, 1))
+                flips += batch_flips(ind, coords, shape)[1]
+                random_rows += coords.shape[0]
+            edges = decision_edges(ind, shape, dirs[:200], 1e3)
+            flips += batch_flips(ind, edges, shape)[1]
+            edge_rows += edges.shape[0]
+        print(f"region_stability {kind} {region}: {flips} flips on "
+              f"{random_rows} random and {edge_rows} edge instances")
+        # 24 000 random instances over the four cases
+        assert random_rows >= 6000 and edge_rows >= 200
+        assert flips == 0
+
+    def test_servo_stability(self):
+        ind = servo_stability_indicator()
+        shape = BlockShape.vector(3)
+        rng = np.random.default_rng(18)
+        dirs = surface_points(3, NormKind.L2, rng, 12_000)
+        coords = dirs * rng.uniform(0.0, 40.0, (12_000, 1))
+        decided, random_flips = batch_flips(ind, coords, shape)
+        assert 0 < decided.sum() < decided.size
+        # the stacked companion matrices are the one-instance ones, byte for byte
+        _, first = indicators._servo_coefficients(*coords.T)
+        for x, row in zip(coords[:1000], np.stack(first, axis=1)):
+            a = three_parameter_servo(UncertaintyInstance(x))[0]
+            assert a[0].tobytes() == row.tobytes()
+        # Hurwitz edge: the largest real part crosses -1e-9 between two adjacent radii
+        edges = decision_edges(ind, shape, dirs[:500], 1e3)
+        _, edge_flips = batch_flips(ind, edges, shape)
+        assert edges.shape[0] >= 200
+        print(f"servo_stability: {random_flips} flips on {coords.shape[0]} random and "
+              f"{edge_flips} on {edges.shape[0]} edge instances")
+        assert random_flips == edge_flips == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_rank_one(self, k):
+        ind = rank_one_oracle(k)
+        d = k * k
+        shape = BlockShape.vector(d)
+        rng = np.random.default_rng(k)
+        dirs = surface_points(d, NormKind.L2, rng, 10_000)
+        coords = dirs * rng.uniform(0.0, 10.0, (10_000, 1))
+        decided, random_flips = batch_flips(ind, coords, shape)
+        assert 0 < decided.sum() < decided.size
+        # k*c = 10 straddled by two adjacent radii
+        edges = decision_edges(ind, shape, dirs[:1000], 1e6)
+        _, edge_flips = batch_flips(ind, edges, shape)
+        assert edges.shape[0] >= 200
+        print(f"rank_one k={k}: {random_flips} flips on {coords.shape[0]} random and "
+              f"{edge_flips} on {edges.shape[0]} edge instances")
+        assert random_flips == edge_flips == 0
 
 
 class TestStepSpec:

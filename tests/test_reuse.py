@@ -7,7 +7,14 @@ from scipy.stats import kstest
 
 from robkit import gridspec
 from robkit.gridspec import GridScheme, build_grid
-from robkit.indicators import Indicator, layered_oracle, layered_scriptp
+from robkit.indicators import (
+    HalfPlane,
+    Indicator,
+    LtiPlant,
+    layered_oracle,
+    layered_scriptp,
+    region_stability,
+)
 from robkit.reuse import (
     UNIFORMS,
     CorruptedInputError,
@@ -23,7 +30,9 @@ from robkit.reuse import (
 )
 from robkit.segfun import MergeCostCounter, SegFun, merge
 from robkit.uncsample import (
+    BlockShape,
     DirectionSample,
+    InvalidInstanceError,
     NormKind,
     SeededStream,
     UncertaintyInstance,
@@ -371,7 +380,7 @@ class TestBatchIndicator:
                 exc_factory()
             return 1
 
-        def batch(coords):
+        def batch(coords, shape):
             if np.any(np.linalg.norm(coords, axis=1) > after):
                 exc_factory()
             return np.ones(coords.shape[0], dtype=np.int64)
@@ -381,7 +390,7 @@ class TestBatchIndicator:
     @staticmethod
     def returns_two(after):
         fn = lambda d: 2 if np.linalg.norm(d.coords) > after else 1
-        batch = lambda x: np.where(np.linalg.norm(x, axis=1) > after, 2, 1)
+        batch = lambda x, shape: np.where(np.linalg.norm(x, axis=1) > after, 2, 1)
         return fn, batch
 
     def boom(self):
@@ -409,13 +418,25 @@ class TestBatchIndicator:
         assert info.value.__context__ is None and info.value.__cause__ is None
 
     def test_batch_that_disagrees_with_fn_is_reported(self):
-        ind = Indicator(lambda d: 1, "fn passes", lambda x: np.full(x.shape[0], 2))
+        ind = Indicator(lambda d: 1, "fn passes", lambda x, shape: np.full(x.shape[0], 2))
         with pytest.raises(ValueError, match="not 0 or 1") as info:
             hsra(10, self.G, ind, 3, seed=8)
         assert "indicator batch failed on directions 1..10" in info.value.__notes__[0]
 
+    def test_vector_shaped_block_names_the_row(self):
+        # without a block shape the driver passes vector shapes: the batch
+        # rejects them, and so does the first row on its own
+        plant = LtiPlant(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
+        ind = region_stability(plant, HalfPlane(0.0))
+        with pytest.raises(InvalidInstanceError, match="matrix-shaped"):
+            ind.batch(np.zeros((3, 4)), BlockShape.vector(4))
+        with pytest.raises(InvalidInstanceError, match="matrix-shaped") as info:
+            hsra(10, self.G, ind, 4, seed=8, shape=None)
+        [note] = info.value.__notes__
+        assert note.startswith("indicator failed on direction 1 at radius ")
+
     def test_batch_of_wrong_length_rejected(self):
-        ind = Indicator(lambda d: 1, "short", lambda x: np.ones(1, dtype=np.int64))
+        ind = Indicator(lambda d: 1, "short", lambda x, shape: np.ones(1, dtype=np.int64))
         with pytest.raises(ValueError, match="indicator batch returned shape"):
             hsra(10, self.G, ind, 3, seed=8)
 
