@@ -53,14 +53,7 @@ from .uncsample import (
     scale,
     surface_points,
 )
-from .xform import (
-    CurveGrid,
-    PhiFunction,
-    bbp_from_phi,
-    bbp_from_scriptp,
-    scriptp_from_bbp,
-    scriptp_from_phi,
-)
+from .xform import CurveGrid, bbp_from_scriptp, scriptp_from_bbp
 
 __version__ = "0.1.0"
 
@@ -94,11 +87,8 @@ __all__ = [
     "RobustnessCurve",
     "ComplexityReport",
     "CurveGrid",
-    "PhiFunction",
     "bbp_from_scriptp",
     "scriptp_from_bbp",
-    "scriptp_from_phi",
-    "bbp_from_phi",
     "Indicator",
     "LtiPlant",
     "HalfPlane",

@@ -21,7 +21,7 @@ import numpy as np
 from . import indicators, reuse, xform
 from .gridspec import GridScheme, build_grid, choose_m
 from .indicators import Disk, HalfPlane, LtiPlant, three_parameter_servo
-from .uncsample import BlockShape, NormKind
+from .uncsample import BlockShape, NormKind, _stream_key
 
 CSV_HEADER = "index,r,p_script_hat,p_script_inf,p_bb_hat,p_bb_inf"
 
@@ -266,9 +266,11 @@ def parse_config(raw):
     if raw.get("seed") is None:
         report.warnings.append("seed: missing, defaulted to 0")
     seed = _field(report, raw, "seed", int, 0)
-    # the streams key on seed mod 2**64, so a seed outside would alias one inside
-    if seed is not None and not 0 <= seed < 2**64:
-        report.errors.append(f"seed: must be in [0, 2**64), got {seed}")
+    if seed is not None:
+        try:
+            _stream_key(seed)
+        except ValueError as exc:
+            report.errors.append(str(exc))
     out_dir = raw.get("out", ".")
     if not isinstance(out_dir, str):
         report.errors.append(f"out: must be a path string, got {out_dir!r}")

@@ -21,7 +21,6 @@ from .uncsample import (
     NormKind,
     ShapeKind,
     UncertaintyInstance,
-    norm as unc_norm,
     row_norms,
 )
 
@@ -36,7 +35,9 @@ RISE_STEPS = 10  # time steps that rise_max must span, so that a rise time is re
 class Indicator:
     """fn decides one instance.  batch, where given, decides a stack of
     instances at once: their flat coords, shape (S, d), and their common
-    block shape, to S decisions, each the same as fn on that row."""
+    block shape, to S decisions, each the same as fn on that row.  The
+    built-in kinds other than step_spec state their rule once, as the batch,
+    and decide one instance as the batch decides it on one row."""
 
     fn: Callable[[UncertaintyInstance], int]
     description: str
@@ -44,6 +45,17 @@ class Indicator:
 
     def __call__(self, delta: UncertaintyInstance) -> int:
         return self.fn(delta)
+
+
+def _by_batch(
+    batch: Callable[[np.ndarray, BlockShape], np.ndarray], description: str
+) -> Indicator:
+    """The Indicator whose one-instance call is `batch` on one row."""
+
+    def fn(delta: UncertaintyInstance) -> int:
+        return int(batch(delta.coords[None], delta.shape)[0])
+
+    return Indicator(fn, description, batch)
 
 
 @dataclass(frozen=True)
@@ -140,26 +152,18 @@ def region_stability(plant: LtiPlant, region: PoleRegion) -> Indicator:
     (a 1e-9 boundary band counts as outside)."""
     block = (plant.b_mat.shape[1], plant.c_mat.shape[0])
 
-    def check(shape: BlockShape) -> None:
+    def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
         if shape.kind is ShapeKind.VECTOR:
             raise InvalidInstanceError("stability check needs a matrix-shaped block")
         if (shape.rows, shape.cols) != block:
             raise InvalidInstanceError(
                 f"block is {(shape.rows, shape.cols)}, plant expects {block}"
             )
-
-    def fn(delta: UncertaintyInstance) -> int:
-        check(delta.shape)
-        closed = plant.a_mat + plant.b_mat @ delta.as_matrix() @ plant.c_mat
-        return int(region.inside(np.linalg.eigvals(closed)))
-
-    def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
         # stacked matmul and eigvals run the per-matrix BLAS and LAPACK calls
-        check(shape)
         closed = plant.a_mat + plant.b_mat @ shape.matrices(coords) @ plant.c_mat
         return region.inside(np.linalg.eigvals(closed)).astype(np.int64)
 
-    return Indicator(fn, f"pole placement of A + B*Delta*C inside {region}", batch)
+    return _by_batch(batch, f"pole placement of A + B*Delta*C inside {region}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +183,10 @@ def layered_oracle(
 ) -> Indicator:
     _check_layered_params(m_layers, i, j)
 
-    def fn(delta: UncertaintyInstance) -> int:
-        return int(layered_phi(m_layers, i, j, unc_norm(delta, norm_kind)))
-
     def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
         return layered_phi(m_layers, i, j, row_norms(coords, norm_kind)).astype(np.int64)
 
-    return Indicator(
-        fn, f"layered shells m={m_layers}, bad shells {i} and {j}..{m_layers}", batch
-    )
+    return _by_batch(batch, f"layered shells m={m_layers}, bad shells {i} and {j}..{m_layers}")
 
 
 def layered_phi(m_layers: int, i: int, j: int, rho):
@@ -248,15 +247,7 @@ def _rank_one_weights(k: int, width: int) -> np.ndarray:
     return np.sqrt(np.arange(1, d + 1))
 
 
-def _rank_one_coefficient(k: int, coords: np.ndarray) -> float:
-    return float(coords @ _rank_one_weights(k, coords.size))
-
-
 def rank_one_oracle(k: int) -> Indicator:
-    def fn(delta: UncertaintyInstance) -> int:
-        c = _rank_one_coefficient(k, delta.coords)
-        return int(k * c < 10.0)
-
     def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
         # per-row dot products as a stacked matmul, which round as the 1-d
         # dot does; a plain (S, d) @ (d,) product may sum in another order
@@ -264,7 +255,7 @@ def rank_one_oracle(k: int) -> Indicator:
         c = (coords[:, None, :] @ w[:, None])[:, 0, 0]
         return (k * c < 10.0).astype(np.int64)
 
-    return Indicator(fn, f"closed-form Hurwitz test of the rank-one family, k={k}", batch)
+    return _by_batch(batch, f"closed-form Hurwitz test of the rank-one family, k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +369,6 @@ def _servo_coefficients(d1, d2, d3) -> tuple:
 def servo_stability_indicator() -> Indicator:
     """Closed-loop Hurwitz stability of the three-parameter servo."""
 
-    def fn(delta: UncertaintyInstance) -> int:
-        a, _, _, _ = three_parameter_servo(delta)
-        return int(HalfPlane(0.0).inside(np.linalg.eigvals(np.atleast_2d(a))))
-
     def batch(coords: np.ndarray, shape: BlockShape) -> np.ndarray:
         d1, d2, d3 = coords.T
         _, first = _servo_coefficients(d1, d2, d3)
@@ -389,4 +376,4 @@ def servo_stability_indicator() -> Indicator:
         a[:, 0] = np.stack(first, axis=1)
         return HalfPlane(0.0).inside(np.linalg.eigvals(a)).astype(np.int64)
 
-    return Indicator(fn, "three-parameter servo closed-loop stability", batch)
+    return _by_batch(batch, "three-parameter servo closed-loop stability")

@@ -103,21 +103,22 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _real_objective(m: np.ndarray, prune: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _real_objective(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of a (P, out, in) stack: inf over gamma in (0,1] of sigma_2
     of the real block matrix, and the gamma attaining it.
 
     A matrix whose largest imaginary part is at most 1e-14 times its largest
     entry's modulus takes the real branch, sigma_1 of Re M at gamma = 1.
-    With `prune`, which real_margin's sweep sets, and more than SEED_LANES
-    matrices to search, the SEED_LANES with the largest sigma_2 at gamma = 1
-    are searched to convergence first; the largest of their values and of
-    the real-branch values is a floor, and the search stops at every other
-    matrix once its smallest sigma_2 so far is strictly below it.  Such a
-    matrix gets that sigma_2 and its gamma: the value is an upper bound on
-    the full search's and strictly below the maximum.  Every other value and
-    gamma is the full search's, so the argmax and the maximum are unchanged
-    bit for bit.
+    With more than SEED_LANES matrices to search, the SEED_LANES with the
+    largest sigma_2 at gamma = 1 are searched to convergence first; the
+    largest of their values and of the real-branch values is a floor, and
+    the search stops at every other matrix once its smallest sigma_2 so far
+    is strictly below it.  Such a matrix gets that sigma_2 and its gamma: the
+    value is an upper bound on the full search's and strictly below the
+    maximum.  Every other value and gamma is the full search's, so the argmax
+    and the maximum are unchanged bit for bit.  With at most SEED_LANES
+    matrices every one is searched to convergence, and the lanes are
+    independent, so slices of a stack that short give the full search.
     """
     re, im = m.real, m.imag
     values = np.empty(len(m))
@@ -149,7 +150,7 @@ def _real_objective(m: np.ndarray, prune: bool = False) -> tuple[np.ndarray, np.
         gammas[lanes[sub]] = _libm_exp(log_g)
 
     every = np.arange(lanes.size)
-    if not prune or lanes.size <= SEED_LANES:
+    if lanes.size <= SEED_LANES:
         search(every)
         return values, gammas
     seeded = np.zeros(lanes.size, dtype=bool)
@@ -191,7 +192,7 @@ def real_margin(plant: LtiPlant, region: PoleRegion, n_points: int = 2048) -> Ma
     """Smallest destabilizing real-block size via the second-singular-value
     criterion, minimized over the skew parameter at every boundary point."""
     _check_nominal(plant, region)
-    t_star, sup = _sweep(plant, region, lambda m: _real_objective(m, prune=True)[0], n_points)
+    t_star, sup = _sweep(plant, region, lambda m: _real_objective(m)[0], n_points)
     if sup <= 0:
         return MarginResult(math.inf, "real", t_star, 1.0)
     _, gamma = _real_objective(plant.transfer_at([region.boundary(t_star)]))

@@ -109,9 +109,16 @@ class UncertaintyInstance:
         object.__setattr__(inst, "shape", shape)
         return inst
 
-    def as_matrix(self) -> np.ndarray:
-        """Materialize the block as a (possibly complex) rows x cols matrix."""
-        return self.shape.matrices(self.coords)
+
+def _stream_key(master_seed: int, stream_index: int = 0) -> int:
+    """The Philox key of stream `stream_index` of `master_seed`: the index in
+    the high 64 bits and the seed in the low.  A value outside [0, 2**64)
+    would alias one inside, so it raises ValueError."""
+    master_seed, stream_index = operator.index(master_seed), operator.index(stream_index)
+    for name, value in (("seed", master_seed), ("stream index", stream_index)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name}: must be in [0, 2**64), got {value}")
+    return (stream_index << 64) | master_seed
 
 
 @dataclass(frozen=True)
@@ -123,21 +130,21 @@ class SeededStream:
     stream_index: int = 0
 
     def generator(self) -> Generator:
-        key = ((self.stream_index & (2**64 - 1)) << 64) | (self.master_seed & (2**64 - 1))
-        return Generator(Philox(key=key))
+        return Generator(Philox(key=_stream_key(self.master_seed, self.stream_index)))
 
 
 class RekeyedStreams:
     """One Philox generator, re-keyed in place per stream: `stream(k)` resets
     it to SeededStream(master_seed, k)'s key with counter 0 and an empty
     buffer, so it draws exactly what SeededStream(master_seed, k).generator()
-    draws, without building a generator per stream."""
+    draws, without building a generator per stream.  The master seed is
+    checked here; the stream indices, which the estimators make, are not."""
 
     def __init__(self, master_seed: int):
         self._bits = Philox(key=0)
         self._gen = Generator(self._bits)
         zeros = np.zeros(4, dtype=np.uint64)
-        self._key = np.array([operator.index(master_seed) & (2**64 - 1), 0], dtype=np.uint64)
+        self._key = np.array([_stream_key(master_seed), 0], dtype=np.uint64)
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": zeros, "key": self._key},
@@ -148,7 +155,7 @@ class RekeyedStreams:
         }
 
     def stream(self, stream_index: int) -> Generator:
-        self._key[1] = stream_index & (2**64 - 1)
+        self._key[1] = stream_index
         self._bits.state = self._state
         return self._gen
 

@@ -1,17 +1,17 @@
 """Integral transforms between the surface-radial robustness curve ("script"
 measure, radius drawn uniformly then placed on a sphere) and the classical
-ball-uniform curve, plus quadrature oracles built on the conditional success
-probability phi on spheres.
+ball-uniform curve.
 
-With n the dimension of the uncertainty space and P_s / P_b the two curves:
+With n the dimension of the uncertainty space, P_s / P_b the two curves and
+phi(rho) the success probability on the sphere of radius rho:
 
     P_s(r) = P_b(r)/n + (n-1)/n * int_0^1 P_b(r*rho) d rho
     P_b(r) = n*P_s(r) - n*(n-1) * int_0^1 P_s(r*rho) rho^(n-1) d rho
     P_s(r) = (1/r)    * int_0^r phi(rho) d rho
     P_b(r) = (n/r^n)  * int_0^r phi(rho) rho^(n-1) d rho
 
-The curve-to-curve directions are first-order recursions in r, evaluated
-as prefix sums (Blelloch, "Prefix sums and their applications", 1990).  The
+Both directions are first-order recursions in r, evaluated as prefix
+sums (Blelloch, "Prefix sums and their applications", 1990).  The
 forward recursion out[k+1] = q_k*out[k] + c_k, with q_k = (r_k/r_{k+1})^n,
 sums in blocks: from a block base b, with s_K = n*ln(r_K/r_b),
 
@@ -30,19 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-
-
-@dataclass(frozen=True)
-class PhiFunction:
-    """Success probability on the sphere of a given radius, in [0,1],
-    piecewise continuous with declared jump locations."""
-
-    fn: Callable[[float], float]
-    discontinuities: tuple[float, ...] = ()
 
 
 @dataclass
@@ -63,13 +52,6 @@ class CurveGrid:
             raise ValueError("radii must be positive and strictly increasing")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-
-
-def _pow_ratio(num: float, den: float, n: int) -> float:
-    """(num/den)^n via exp of logs; num <= den expected."""
-    if num == 0.0:
-        return 0.0
-    return math.exp(n * math.log(num / den))
 
 
 # the largest n*ln(r_K/r_b) in one block: exp(+-SPAN) are normal floats
@@ -124,49 +106,3 @@ def scriptp_from_bbp(curve: CurveGrid) -> CurveGrid:
     integral[1:] += integral[0]
     out = b / n + (n - 1) / n * integral / r
     return CurveGrid(r, np.clip(out, 0.0, 1.0), n, raw_values=out)
-
-
-def _pieces(phi: PhiFunction, r: float) -> list[tuple[float, float]]:
-    cuts = sorted({c for c in phi.discontinuities if 0.0 < c < r})
-    edges = [0.0, *cuts, r]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def scriptp_from_phi(phi: PhiFunction, r: float) -> float:
-    """(1/r) * int_0^r phi, splitting the quadrature at declared jumps."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    total = 0.0
-    for a, b in _pieces(phi, r):
-        val, _ = quad(phi.fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-        total += val
-    return total / r
-
-
-def bbp_from_phi(phi: PhiFunction, r: float, n: int) -> float:
-    """(n/r^n) * int_0^r phi(rho) rho^(n-1) d rho.
-
-    Each piece is integrated after substituting u = (rho/r)^n, which carries
-    the rho^(n-1)/r^n weight exactly and keeps tiny tail masses at full
-    relative accuracy.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    total = 0.0
-    for a, b in _pieces(phi, r):
-        u1 = _pow_ratio(a, r, n)
-        u2 = _pow_ratio(b, r, n)
-        if u2 <= u1:
-            continue
-        val, _ = quad(
-            lambda u: phi.fn(r * u ** (1.0 / n)),
-            u1,
-            u2,
-            epsabs=1e-15,
-            epsrel=1e-12,
-            limit=200,
-        )
-        total += val
-    return total

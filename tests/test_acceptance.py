@@ -19,11 +19,15 @@ from robkit.indicators import (
     layered_oracle,
     layered_scriptp,
     rank_one_oracle,
-    region_stability,
 )
 from robkit.margins import complex_margin, destabilizing_delta, real_margin
 from robkit.uncsample import UncertaintyInstance
-from reference import complex_margin_bruteforce, rank_one_delta_block, rank_one_plant
+from reference import (
+    complex_margin_bruteforce,
+    rank_one_delta_block,
+    rank_one_plant,
+    region_stability_fn,
+)
 
 
 def announce(capsys, num, ok, detail):
@@ -173,7 +177,7 @@ def test_criterion_7_rank_one_family(capsys):
     mismatches = 0
     for k in range(2, 11):
         ind = rank_one_oracle(k)
-        eig_ind = region_stability(rank_one_plant(k), HalfPlane(0.0))
+        eig_ind = region_stability_fn(rank_one_plant(k), HalfPlane(0.0))
         rng = np.random.default_rng(70 + k)
         scale = 12.0 / (k * math.sqrt(k * k * (k * k + 1) / 2))
         qs = rng.uniform(-scale, scale, (10**4, k * k))

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robkit.gridspec import GridScheme, build_grid
+from robkit.indicators import layered_oracle
+from robkit.reuse import hsra
 from robkit.uncsample import (
     BlockShape,
     DirectionSample,
@@ -54,7 +57,7 @@ class TestBlockShape:
         inst = UncertaintyInstance(
             np.array([1.0, 2.0, 3.0, 4.0]), BlockShape.complex_matrix(1, 2)
         )
-        mat = inst.as_matrix()
+        mat = inst.shape.matrices(inst.coords)
         assert mat.shape == (1, 2)
         assert mat[0, 0] == 1 + 2j and mat[0, 1] == 3 + 4j
 
@@ -163,7 +166,7 @@ class TestSeededStream:
 
 
 class TestRekeyedStreams:
-    @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_same_draws_as_a_fresh_generator(self, seed):
         streams = RekeyedStreams(seed)
         for k in (0, 1, 2**64 - 1, 1, 0):  # revisited streams restart from counter 0
@@ -176,6 +179,20 @@ class TestRekeyedStreams:
             out = np.empty(4)
             streams.stream(k).random(out=out)
             assert np.array_equal(out, SeededStream(seed, k).generator().random(4))
+
+    # a seed outside [0, 2**64) would key the streams as a seed inside
+    @pytest.mark.parametrize("seed", [-3, -1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        message = rf"seed: must be in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            RekeyedStreams(seed)
+        with pytest.raises(ValueError, match=message):
+            SeededStream(seed, 3).generator()
+        grid = build_grid(GridScheme.GEOMETRIC, 2.0, 1.0, 20)
+        with pytest.raises(ValueError, match=message):
+            hsra(64, grid, layered_oracle(20, 11, 19), 5, seed=seed)
+        with pytest.raises(ValueError, match=r"stream index: must be in \[0, 2\*\*64\)"):
+            SeededStream(0, seed).generator()
 
 
 def test_sample_surface_returns_unit_direction():

@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from robkit.indicators import layered_bbp, layered_phi, layered_scriptp
-from robkit.xform import (
-    BLOCK,
-    SPAN,
-    CurveGrid,
-    PhiFunction,
-    bbp_from_phi,
-    bbp_from_scriptp,
-    scriptp_from_bbp,
-    scriptp_from_phi,
-)
+from robkit.xform import BLOCK, SPAN, CurveGrid, bbp_from_scriptp, scriptp_from_bbp
+from reference import PhiFunction, bbp_from_phi, scriptp_from_phi
 
 
 def _bbp_loop(curve):
