@@ -1,5 +1,6 @@
-"""Radius grids over [a/lambda, a], closed-form index location, and the
-grid-size / expected-simulation predictions for both gridding schemes."""
+"""Radius grids over [a/lambda, a], the located-index rule of the radial
+sweep, and the grid-size / expected-simulation predictions for both
+gridding schemes."""
 
 from __future__ import annotations
 
@@ -62,27 +63,16 @@ def build_grid(scheme: GridScheme, lam: float, a: float, m: int) -> RadiusGrid:
     return RadiusGrid(scheme, float(lam), float(a), int(m), radii)
 
 
-def locate(g: RadiusGrid, radius: float) -> int:
-    """Smallest index j (1-based) with r_j >= radius, in O(1).
-
-    The closed-form index is followed by a neighbor scan to absorb rounding at
-    cell boundaries; the result always agrees with a linear scan.
-    """
-    if radius < 0 or radius > g.radii[-1]:
-        raise OutOfRangeError(f"radius {radius} outside [0, {g.radii[-1]}]")
-    m, a, lam = g.m, g.a, g.lam
-    if radius <= g.radii[0]:
-        return 1
-    if g.scheme is GridScheme.UNIFORM:
-        j = math.ceil(1 + (lam * radius - a) * (m - 1) / (a * (lam - 1)))
-    else:
-        j = math.ceil(m - (m - 1) * math.log(a / radius) / math.log(lam))
-    j = min(max(j, 1), m)
-    while j > 1 and g.radii[j - 2] >= radius:
-        j -= 1
-    while g.radii[j - 1] < radius:
-        j += 1
-    return j
+def locate(g: RadiusGrid, radius):
+    """Smallest index j (1-based) with r_j >= radius, by binary search: an
+    int for a scalar radius, an int64 array for an array of radii.  A radius
+    outside [0, r_m], NaN included, raises OutOfRangeError."""
+    r_m = g.radii[-1]
+    inside = (radius >= 0) & (radius <= r_m)
+    if not inside.all():
+        raise OutOfRangeError(f"radius {np.extract(~inside, radius)[0]} outside [0, {r_m}]")
+    j = g.radii.searchsorted(radius) + 1
+    return j if np.ndim(j) else int(j)
 
 
 def choose_m(scheme: GridScheme, lam: float, eps: float) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .uncsample import (
     BlockShape,
@@ -270,6 +269,8 @@ def _step_response(a, b, c, d, horizon: float, n_steps: int):
     map, computed by doubling with x_{L+j} = A_d^L x_j + x_L: column k-1
     holds x_k, and ceil(log2 n_steps) passes fill the n_steps columns.
     """
+    from scipy.linalg import expm  # loaded by step_spec, so only a lookup here
+
     n = a.shape[0]
     dt = horizon / n_steps
     aug = np.zeros((n + b.shape[1], n + b.shape[1]))
@@ -311,6 +312,7 @@ def step_spec(
             f"rise_max {rise_max:g} s spans fewer than {RISE_STEPS} time steps of "
             f"5*settle_max/{STEP_COUNT} = {dt:g} s"
         )
+    import scipy.linalg  # noqa: F401  (loaded with the indicator, not on a first decision)
 
     def fn(delta: UncertaintyInstance) -> int:
         a, b, c, d = (np.atleast_2d(np.asarray(mat, dtype=float)) for mat in closed_loop(delta))

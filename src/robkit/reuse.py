@@ -14,9 +14,9 @@ from itertools import repeat
 
 import numpy as np
 
-# sample_surface and merge are not called here; they stay importable from this
-# module with radial_sampling, scale and locate, the one-direction API that the
-# benchmark's tracer wraps in place
+# sample_surface, scale and merge are not called here; they stay importable
+# from this module, with radial_sampling and locate, as the one-direction API
+# that the benchmark's tracer wraps in place
 from .gridspec import OutOfRangeError, RadiusGrid, locate, predict_meq
 from .segfun import SegFun, add_deltas, from_deltas, merge, merge_pairs
 from .uncsample import (
@@ -49,7 +49,6 @@ class RadialSampleRun:
 @dataclass
 class RobustnessCurve:
     grid: RadiusGrid
-    kind: str  # "script_p" (surface-radial measure) or "bb_p" (ball-uniform)
     values: np.ndarray
     inf_values: np.ndarray
     n_samples: int
@@ -92,30 +91,93 @@ def radial_sampling(
 ) -> RadialSampleRun:
     """Backward sweep over the grid: draw R ~ U[0, r_p], evaluate the
     indicator at U*R, reuse the outcome for every index j with r_j >= R,
-    then continue below the located index.
+    then continue below the located index.  This is the block driver's
+    sweep on one direction, with one rng.uniform(0, r_p) per step.
 
     The value stored at index i is the indicator at a radius distributed
     uniformly on [0, r_i].
     """
     gen = _as_generator(rng)
-    rows: list[list[int]] = []  # built back-to-front; rows[-1] is the first row
-    sims = 0
-    p = g.m
-    s = -1
-    while p > 0:
-        radius = gen.uniform(0.0, g.radii[p - 1])
-        val = _checked(indicator, scale(u, radius), direction_index, radius)
-        sims += 1
-        j = locate(g, radius)
-        if rows and val == s:
-            rows[-1][0] = j
-        else:
-            rows.append([j, p, val])
-            s = val
-        p = j - 1
-    rows.reverse()
-    seg = SegFun.from_rows(g.m, rows)
-    return RadialSampleRun(seg, sims)
+    row, radius, j = _sweep(
+        g, 1, lambda t, active, top: np.array([gen.uniform(0.0, r) for r in top.tolist()])
+    )
+    coords = u.instance.coords * radius[:, None]
+    val = _decide(indicator, u.instance.shape, direction_index, row, coords, radius)
+    return RadialSampleRun(from_deltas(g.m, *_runs(row, j, val)[1:]), row.size)
+
+
+def _sweep(grid: RadiusGrid, rows: int, draw):
+    """(row, radius, located index) of every step of the backward sweeps of
+    `rows` directions, run in lockstep and returned grouped by row in step
+    order.  Step t asks draw(t, active, top) for the radii of the active
+    rows, uniform on [0, top] with top = r_p; then j = locate(grid, radius)
+    and p = j - 1, until p = 0.  No step depends on a decision."""
+    radii = grid.radii
+    p = np.full(rows, grid.m)
+    active = np.arange(rows)
+    steps = []
+    t = 0
+    while active.size:
+        radius = draw(t, active, radii[p[active] - 1])
+        j = locate(grid, radius)
+        steps.append((active, radius, j))
+        p[active] = j - 1
+        active = active[j > 1]
+        t += 1
+    row, radius, j = (np.concatenate(col) for col in zip(*steps))
+    order = np.argsort(row, kind="stable")
+    return row[order], radius[order], j[order]
+
+
+def _decide(indicator, shape: BlockShape, k0: int, row, coords, radius):
+    """The decisions at the sweep steps `row` (direction k0 + row) with
+    instances `coords`: by `batch(coords, shape)` where the indicator has
+    one; else, or when the batch fails, by one checked call per row in
+    order, so that an error names the first direction and radius that fail
+    on their own."""
+    batch = getattr(indicator, "batch", None)
+    error = None
+    if batch is not None:
+        try:
+            val = np.asarray(batch(coords, shape))
+            if val.shape != row.shape:
+                raise ValueError(f"indicator batch returned shape {val.shape}, not {row.shape}")
+            val = val.astype(np.int64)
+            bad = np.flatnonzero(val & ~1)
+            if bad.size:
+                raise ValueError(f"indicator returned {val[bad[0]]}, not 0 or 1")
+            return val
+        except Exception as exc:
+            error = exc
+    # outside the handler, so that a row's error is not chained to the batch's
+    rows = zip(coords, (k0 + row).tolist(), radius.tolist())
+    val = np.array(
+        [_checked(indicator, UncertaintyInstance.trusted(x, shape), k, r) for x, k, r in rows],
+        dtype=np.int64,
+    )
+    if error is None:
+        return val
+    if hasattr(error, "add_note"):
+        error.add_note(
+            f"indicator batch failed on directions {k0}..{k0 + row[-1]}, "
+            "though every row passes on its own"
+        )
+    raise error
+
+
+def _runs(row, j, val):
+    """The (row, lo, delta) leaf delta rows of decided sweep steps, ordered
+    by (row, lo): run [j, p] of a step holds its value, so the row at lo = j
+    carries the change from the next step's value (the last step has j = 1);
+    a zero change is dropped."""
+    last = j == 1
+    delta = val.copy()
+    delta[:-1] -= val[1:]
+    delta[last] = val[last]
+    keep = (delta != 0) | last
+    row, j, delta = row[keep], j[keep], delta[keep]
+    order = np.lexsort((j, row))
+    return row[order], j[order], delta[order]
 
 
 def binary_decomposition(n: int) -> list[int]:
@@ -146,12 +208,10 @@ class _Leaves:
     """The leaf runs of directions 1, 2, ..., drawn BLOCK at a time.
 
     Direction k takes its surface point from stream 2k and its radii from
-    stream 2k+1, as `sample_surface` and `radial_sampling` would.  The radii
-    and located indices of a sweep do not depend on the indicator's values,
-    so a block's schedule is computed in lockstep first; the indicator then
-    decides all its rows, by `batch(coords, shape)` where the indicator has
-    one, else one `__call__` per row in direction-then-step order.  A leaf
-    is its flat delta rows (see `segfun.merge_pairs`)."""
+    stream 2k+1, as `sample_surface` and `radial_sampling` would.  A block's
+    sweeps run in lockstep first (`_sweep`); `_decide` then decides all its
+    steps, in direction-then-step order, and a leaf is its flat delta rows
+    (`_runs`)."""
 
     def __init__(self, n, grid, indicator, d, norm_kind, seed, shape):
         if d < 1:
@@ -161,7 +221,7 @@ class _Leaves:
             raise InvalidInstanceError(
                 f"shape implies dimension {self.shape.dim}, got {d} coords"
             )
-        self.n, self.radii, self.indicator = n, grid.radii, indicator
+        self.n, self.grid, self.indicator = n, grid, indicator
         self.d, self.norm_kind = d, norm_kind
         self.streams = RekeyedStreams(seed)
         self.drawn = 0  # directions drawn so far
@@ -203,83 +263,24 @@ class _Leaves:
                 dirs[r] = surface_points(self.d, NormKind.L2, stream(2 * (k0 + r)), 1)[0]
                 norms[r] = 1.0
             dirs /= norms
-        row, radius, j = self._schedule(k0, u)
-        val = self._decide(k0, row, dirs[row] * radius[:, None], radius)
+
+        def draw(t, active, top):
+            # a direction that runs out of draws gets its stream drawn
+            # again, twice as long; top * U is bitwise uniform(0, top)
+            nonlocal u
+            if t == u.shape[1]:
+                longer = np.empty((b, 2 * t))
+                for r in active.tolist():
+                    stream(2 * (k0 + r) + 1).random(out=longer[r])
+                u = longer
+            return top * u[active, t]
+
+        row, radius, j = _sweep(self.grid, b, draw)
+        val = _decide(self.indicator, self.shape, k0, row, dirs[row] * radius[:, None], radius)
         counts = np.bincount(row, minlength=b)
         self.sims += row.size
         self.sims_sq += int(counts @ counts)
-        # run [j, p] of each step holds its value; the row at lo = j carries
-        # the change from the next step's value (the last step has j = 1)
-        last = j == 1
-        delta = val.copy()
-        delta[:-1] -= val[1:]
-        delta[last] = val[last]
-        keep = (delta != 0) | last
-        row, j, delta = row[keep], j[keep], delta[keep]
-        order = np.lexsort((j, row))
-        return row[order], j[order], delta[order]
-
-    def _schedule(self, k0, u):
-        """(direction row, radius, located index) of every sweep step of the
-        block, direction by direction, each in step order: radius =
-        r_{p} * U with U from the direction's radius stream (bitwise
-        uniform(0, r_p)), j = the smallest index with r_j >= radius, then p =
-        j - 1 until p = 0.  A direction that runs out of draws gets its
-        stream drawn again, twice as long."""
-        radii = self.radii
-        p = np.full(u.shape[0], radii.size)
-        active = np.arange(u.shape[0])
-        steps = []
-        t = 0
-        while active.size:
-            if t == u.shape[1]:
-                longer = np.empty((u.shape[0], 2 * t))
-                for r in active.tolist():
-                    self.streams.stream(2 * (k0 + r) + 1).random(out=longer[r])
-                u = longer
-            radius = radii[p[active] - 1] * u[active, t]
-            j = radii.searchsorted(radius) + 1
-            steps.append((active, radius, j))
-            p[active] = j - 1
-            active = active[j > 1]
-            t += 1
-        row, radius, j = (np.concatenate(col) for col in zip(*steps))
-        order = np.argsort(row, kind="stable")
-        return row[order], radius[order], j[order]
-
-    def _decide(self, k0, row, coords, radius):
-        """The block's decisions: by `batch` where the indicator has one; else,
-        or when the batch fails, by one checked call per row, so that an error
-        names the first direction and radius that fail on their own."""
-        batch = getattr(self.indicator, "batch", None)
-        error = None
-        if batch is not None:
-            try:
-                val = np.asarray(batch(coords, self.shape))
-                if val.shape != row.shape:
-                    raise ValueError(f"indicator batch returned shape {val.shape}, not {row.shape}")
-                val = val.astype(np.int64)
-                bad = np.flatnonzero(val & ~1)
-                if bad.size:
-                    raise ValueError(f"indicator returned {val[bad[0]]}, not 0 or 1")
-                return val
-            except Exception as exc:
-                error = exc
-        # outside the handler, so that a row's error is not chained to the batch's
-        shape, indicator = self.shape, self.indicator
-        rows = zip(coords, (k0 + row).tolist(), radius.tolist())
-        val = np.array(
-            [_checked(indicator, UncertaintyInstance.trusted(x, shape), k, r) for x, k, r in rows],
-            dtype=np.int64,
-        )
-        if error is None:
-            return val
-        if hasattr(error, "add_note"):
-            error.add_note(
-                f"indicator batch failed on directions {k0}..{k0 + row[-1]}, "
-                "though every row passes on its own"
-            )
-        raise error
+        return _runs(row, j, val)
 
 
 def _sample_reuse(n, groups, grid, indicator, d, norm_kind, seed, shape):
@@ -387,7 +388,6 @@ def estimate_curve(h: SegFun, n_samples: int, grid: RadiusGrid) -> RobustnessCur
     values = counts / n_samples
     return RobustnessCurve(
         grid=grid,
-        kind="script_p",
         values=values,
         inf_values=np.minimum.accumulate(values),
         n_samples=n_samples,

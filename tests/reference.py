@@ -17,14 +17,18 @@ from robkit.indicators import (
     three_parameter_servo,
 )
 from robkit.margins import _check_nominal, _sigma_max
-from robkit.reuse import RobustnessCurve
+from robkit.reuse import RadialSampleRun, RobustnessCurve
+from robkit.segfun import SegFun
 from robkit.uncsample import (
     BlockShape,
+    DirectionSample,
     InvalidInstanceError,
     NormKind,
     ShapeKind,
     UncertaintyInstance,
+    _as_generator,
     norm,
+    scale,
 )
 
 
@@ -107,6 +111,46 @@ def rank_one_delta_block(k: int, coords: np.ndarray) -> UncertaintyInstance:
     """The k x k block c * ones(k,k) such that A0 + B*Delta*C = A(q)."""
     c = rank_one_coefficient(k, np.asarray(coords, dtype=float))
     return UncertaintyInstance(np.full(k * k, c), BlockShape.real_matrix(k, k))
+
+
+# ---------------------------------------------------------------------------
+# The radial sweep of one direction as a scalar loop: one draw, one decision
+# and one linear-scan index per step.
+# ---------------------------------------------------------------------------
+
+
+def linear_scan(grid, radius) -> int:
+    """First index (1-based) whose radius is >= the query."""
+    for j, r in enumerate(grid.radii.tolist(), start=1):
+        if r >= radius:
+            return j
+    raise AssertionError("radius beyond grid")
+
+
+def radial_sampling_loop(u: DirectionSample, g, indicator, rng, direction_index: int = 0):
+    """Backward sweep over the grid, one step at a time: draw R ~ U[0, r_p]
+    by rng.uniform(0, r_p), evaluate the indicator at U*R, reuse the outcome
+    for every index j with r_j >= R, then continue below the located index.
+    The reference for reuse.radial_sampling and for the block driver's
+    leaves."""
+    gen = _as_generator(rng)
+    rows: list[list[int]] = []  # built back-to-front; rows[-1] is the first row
+    sims = 0
+    p = g.m
+    s = -1
+    while p > 0:
+        radius = gen.uniform(0.0, g.radii[p - 1])
+        val = int(indicator(scale(u, radius)))
+        sims += 1
+        j = linear_scan(g, radius)
+        if rows and val == s:
+            rows[-1][0] = j
+        else:
+            rows.append([j, p, val])
+            s = val
+        p = j - 1
+    rows.reverse()
+    return RadialSampleRun(SegFun.from_rows(g.m, rows), sims)
 
 
 def interpolate(curve: RobustnessCurve, r: float) -> float:

@@ -17,14 +17,7 @@ from robkit.gridspec import (
     locate,
     predict_meq,
 )
-
-
-def linear_scan(grid, radius):
-    """Reference oracle: first index whose radius is >= the query."""
-    for j, r in enumerate(grid.radii, start=1):
-        if r >= radius:
-            return j
-    raise AssertionError("radius beyond grid")
+from reference import linear_scan
 
 
 class TestBuildGrid:
@@ -72,6 +65,31 @@ class TestLocate:
         g = build_grid(GridScheme.GEOMETRIC, 5.0, 1.0, 40)
         for j in range(1, 41):
             assert locate(g, float(g.radii[j - 1])) == j
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1e-300, 1.5])
+    def test_outside_the_grid_rejected(self, radius):
+        g = build_grid(GridScheme.UNIFORM, 2.0, 1.0, 3)
+        with pytest.raises(OutOfRangeError):
+            locate(g, radius)
+        with pytest.raises(OutOfRangeError):
+            locate(g, np.array([0.6, radius, 0.7]))
+
+    def test_scalar_gives_int(self):
+        g = build_grid(GridScheme.GEOMETRIC, 4.0, 1.0, 3)
+        assert type(locate(g, 0.3)) is int
+        assert type(locate(g, np.float64(0.3))) is int
+
+    @pytest.mark.parametrize("scheme", list(GridScheme))
+    def test_array_matches_scalar_calls(self, scheme):
+        # exact knots and the floats just below them, where a rounding slip
+        # would land one index off
+        g = build_grid(scheme, 7.0, 3.0, 60)
+        below = np.nextafter(g.radii, 0.0)
+        radii = np.concatenate([[0.0], g.radii, below, 0.5 * (g.radii[1:] + g.radii[:-1])])
+        j = locate(g, radii)
+        assert j.dtype == np.int64
+        assert j.tolist() == [locate(g, r) for r in radii.tolist()]
+        assert j.tolist() == [linear_scan(g, r) for r in radii.tolist()]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -437,18 +437,32 @@ class TestServoCompanionForm:
             a, _, c, _ = three_parameter_servo(UncertaintyInstance(np.array([-10.0, 0.0, 0.0])))
         assert not c.any() and a[0, 3] == 0.0
 
-    def test_import_does_not_load_scipy_signal(self):
-        code = (
-            "import sys, robkit, robkit.cli; "
-            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules)"
-        )
+    @staticmethod
+    def fresh_python(code):
+        """stdout of `code` run in a new interpreter that imports robkit from src."""
         src = Path(__file__).resolve().parent.parent / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         ).stdout
-        assert out.split() == ["False", "False"]
+
+    def test_import_does_not_load_scipy_signal(self):
+        out = self.fresh_python(
+            "import sys, robkit, robkit.cli; "
+            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules, "
+            "any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        assert out.split() == ["False", "False", "False"]
+
+    def test_step_spec_loads_scipy_linalg(self):
+        # when the indicator is built, not on its first decision
+        out = self.fresh_python(
+            "import sys, robkit; from robkit.indicators import three_parameter_servo; "
+            "robkit.step_spec(three_parameter_servo, 0.25, 3.5, 0.7); "
+            "print('scipy.linalg' in sys.modules)"
+        )
+        assert out.split() == ["True"]
 
 
 # ---------------------------------------------------------------------------

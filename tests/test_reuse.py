@@ -38,7 +38,7 @@ from robkit.uncsample import (
     UncertaintyInstance,
     sample_surface,
 )
-from reference import interpolate
+from reference import interpolate, radial_sampling_loop
 
 
 class ScriptedRng:
@@ -143,6 +143,62 @@ class TestRadialSampling:
             assert kstest(np.array(vals), "uniform").pvalue > 0.001
 
 
+class TestOneDirectionSweep:
+    """radial_sampling, the block driver's sweep run on one direction, against
+    the scalar loop of reference.radial_sampling_loop: the same rows and
+    simulation counts, the same instances seen by an indicator without batch,
+    and the same draws from the caller's generator."""
+
+    D, SEED = 5, 3
+    GRIDS = {
+        "geometric": (GridScheme.GEOMETRIC, math.e, 1.0, 39),
+        # many sweeps take more steps than the driver's first radius draws
+        "long_sweeps": (GridScheme.UNIFORM, 1e6, 1.0, 2000),
+    }
+
+    def sweeps(self, sweep, kind, g, make_indicator):
+        gen = SeededStream(self.SEED, 1).generator()  # shared by all directions
+        out = []
+        for k in range(1, 41):
+            u = sample_surface(self.D, kind, SeededStream(self.SEED, 2 * k))
+            seen = []
+            run = sweep(u, g, make_indicator(seen), gen, k)
+            out.append((run.segments.rows, run.simulations_used, seen))
+        return out, gen.random(4)
+
+    @staticmethod
+    def shells(seen):
+        def fn(delta):
+            seen.append(delta.coords.copy())
+            return int(math.floor(200 * np.linalg.norm(delta.coords)) % 2 == 0)
+
+        return Indicator(fn, "shells")
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_matches_loop(self, kind, grid):
+        g = build_grid(*self.GRIDS[grid])
+        runs, state = self.sweeps(radial_sampling, kind, g, self.shells)
+        ref_runs, ref_state = self.sweeps(radial_sampling_loop, kind, g, self.shells)
+        assert np.array_equal(state, ref_state)
+        for (rows, sims, seen), (ref_rows, ref_sims, ref_seen) in zip(runs, ref_runs):
+            assert rows == ref_rows and sims == ref_sims
+            assert len(seen) == len(ref_seen) == sims
+            assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
+        if grid == "long_sweeps":
+            assert max(sims for _, sims, _ in runs) > UNIFORMS
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_batched_indicator_matches_loop(self, kind):
+        g = build_grid(*self.GRIDS["geometric"])
+        layered = layered_oracle(20, 11, 19, kind)
+        runs, state = self.sweeps(radial_sampling, kind, g, lambda seen: layered)
+        ref_runs, ref_state = self.sweeps(radial_sampling_loop, kind, g, lambda seen: layered)
+        assert runs == ref_runs
+        assert np.array_equal(state, ref_state)
+        assert len({tuple(rows) for rows, _, _ in runs}) > 1
+
+
 class TestDecompositionAndSpeedup:
     def test_decomposition_1000(self):
         assert binary_decomposition(1000) == [8, 32, 64, 128, 256, 512]
@@ -214,7 +270,9 @@ class TestAlgorithms:
 
 class TestReferenceSchedules:
     """hsra and ssra against merge schedules written out in full over leaves
-    drawn with the (2k, 2k+1) stream convention."""
+    drawn with the (2k, 2k+1) stream convention by the scalar loop of
+    reference.radial_sampling_loop, which shares no code with the driver's
+    sweep."""
 
     D, SEED = 10, 4
     # 63, 64, 65 and 3*64 + 5: groups and folds that straddle merge chunks
@@ -228,7 +286,7 @@ class TestReferenceSchedules:
         for k in range(1, max(self.NS) + 1):
             u = sample_surface(self.D, NormKind.L2, SeededStream(self.SEED, 2 * k))
             rng = SeededStream(self.SEED, 2 * k + 1)
-            leaves.append(radial_sampling(u, g, ind, rng))
+            leaves.append(radial_sampling_loop(u, g, ind, rng))
         return g, ind, leaves
 
     @staticmethod
@@ -283,7 +341,7 @@ class TestReferenceSchedules:
         leaves = []
         for k in range(1, n + 1):
             u = sample_surface(d, NormKind.L2, SeededStream(seed, 2 * k))
-            leaves.append(radial_sampling(u, g, ind, SeededStream(seed, 2 * k + 1)))
+            leaves.append(radial_sampling_loop(u, g, ind, SeededStream(seed, 2 * k + 1)))
         assert max(run.simulations_used for run in leaves) > 2 * UNIFORMS
         segs = [run.segments for run in leaves]
         for algo, reference in ((hsra, self.level_tree), (ssra, self.fold)):
@@ -300,7 +358,7 @@ class TestReferenceSchedules:
         leaves = []
         for k in range(1, 66):
             u = sample_surface(self.D, kind, SeededStream(self.SEED, 2 * k))
-            leaves.append(radial_sampling(u, g, ind, SeededStream(self.SEED, 2 * k + 1)))
+            leaves.append(radial_sampling_loop(u, g, ind, SeededStream(self.SEED, 2 * k + 1)))
         segs = [run.segments for run in leaves]
         for algo, reference in ((hsra, self.level_tree), (ssra, self.fold)):
             h, rep = algo(65, g, ind, self.D, kind, seed=self.SEED)
@@ -311,7 +369,7 @@ class TestReferenceSchedules:
 
     def test_indicator_calls_in_sweep_order(self):
         # an indicator without batch sees the same instances, in the same
-        # order, as one radial_sampling per direction
+        # order, as one sweep loop per direction
         g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
         layered = layered_oracle(20, 11, 19)
         calls = []
@@ -325,7 +383,7 @@ class TestReferenceSchedules:
         driven, calls[:] = list(calls), []
         for k in range(1, 71):
             u = sample_surface(self.D, NormKind.L2, SeededStream(self.SEED, 2 * k))
-            radial_sampling(u, g, ind, SeededStream(self.SEED, 2 * k + 1))
+            radial_sampling_loop(u, g, ind, SeededStream(self.SEED, 2 * k + 1))
         assert len(driven) == len(calls)
         assert all(np.array_equal(a, b) for a, b in zip(driven, calls))
 
@@ -479,9 +537,7 @@ class TestCurve:
 
     def test_interpolation(self):
         g = build_grid(GridScheme.UNIFORM, 2.0, 1.0, 2)
-        curve = RobustnessCurve(
-            g, "script_p", np.array([0.8, 1.0]), np.array([0.8, 0.8]), 10
-        )
+        curve = RobustnessCurve(g, np.array([0.8, 1.0]), np.array([0.8, 0.8]), 10)
         mid = 0.5 * (g.radii[0] + g.radii[1])
         assert interpolate(curve, mid) == pytest.approx(0.9)
         assert interpolate(curve, g.radii[1]) == 1.0
