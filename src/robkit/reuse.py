@@ -200,7 +200,7 @@ def predicted_speedup(n: int) -> float:
     return (n + 2) * (n - 1) / (2 * hier)
 
 
-BLOCK = 64  # directions drawn together, and leaves per level-wise merge chunk
+BLOCK = 256  # directions drawn together, and leaves per level-wise merge chunk
 UNIFORMS = 8  # radius draws per direction; a longer sweep redraws its stream twice as long
 
 
@@ -246,23 +246,36 @@ class _Leaves:
         k0 = self.drawn + 1
         b = min(BLOCK, self.n - self.drawn)
         self.drawn += b
-        dirs = np.empty((b, self.d))
-        u = np.empty((b, UNIFORMS))
+        d, l1, l2 = self.d, self.norm_kind is NormKind.L1, self.norm_kind is NormKind.L2
+        dirs, u = np.empty((b, d)), np.empty((b, UNIFORMS))
+        ints = np.empty((b, d if l1 else 2), dtype=np.int64)  # l1 signs; linf face, sign
         stream = self.streams.stream
-        l2 = self.norm_kind is NormKind.L2
-        for r in range(b):
-            gen = stream(2 * (k0 + r))
+        gen = stream(2 * k0)  # stream(k) re-keys and returns this one generator
+        normal, random = gen.standard_normal, gen.random
+        # each row's raw draws in surface_points' order; the block is finished below
+        for r, k in enumerate(range(2 * k0, 2 * (k0 + b), 2)):
+            stream(k)
             if l2:
-                gen.standard_normal(out=dirs[r])
+                normal(out=dirs[r])
+            elif l1:
+                gen.standard_exponential(out=dirs[r])
+                ints[r] = gen.integers(0, 2, size=d)
             else:
-                dirs[r] = surface_points(self.d, self.norm_kind, gen, 1)[0]
-            stream(2 * (k0 + r) + 1).random(out=u[r])
+                ints[r] = gen.integers(0, d), gen.integers(0, 2)
+                dirs[r] = gen.uniform(-1.0, 1.0, size=d)
+            stream(k + 1)
+            random(out=u[r])
         if l2:  # as surface_points normalizes, with its redraw of all-zero rows
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
             for r in np.flatnonzero(norms[:, 0] == 0.0).tolist():
-                dirs[r] = surface_points(self.d, NormKind.L2, stream(2 * (k0 + r)), 1)[0]
+                dirs[r] = surface_points(d, NormKind.L2, stream(2 * (k0 + r)), 1)[0]
                 norms[r] = 1.0
             dirs /= norms
+        elif l1:
+            dirs *= ints * 2 - 1
+            dirs /= np.sum(np.abs(dirs), axis=1, keepdims=True)
+        else:
+            dirs[np.arange(b), ints[:, 0]] = ints[:, 1] * 2 - 1
 
         def draw(t, active, top):
             # a direction that runs out of draws gets its stream drawn

@@ -137,18 +137,22 @@ class RekeyedStreams:
     """One Philox generator, re-keyed in place per stream: `stream(k)` resets
     it to SeededStream(master_seed, k)'s key with counter 0 and an empty
     buffer, so it draws exactly what SeededStream(master_seed, k).generator()
-    draws, without building a generator per stream.  The master seed is
-    checked here; the stream indices, which the estimators make, are not."""
+    draws, without building a generator per stream.  Every call returns the
+    same generator.  The master seed is checked here; the stream indices,
+    which the estimators make, are not.
+
+    The state is held as lists of Python ints: the `Philox.state` setter
+    reads it one element at a time, and a list entry reads about 3x faster
+    than a NumPy array element."""
 
     def __init__(self, master_seed: int):
         self._bits = Philox(key=0)
         self._gen = Generator(self._bits)
-        zeros = np.zeros(4, dtype=np.uint64)
-        self._key = np.array([_stream_key(master_seed), 0], dtype=np.uint64)
+        self._key = [_stream_key(master_seed), 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": self._key},
-            "buffer": zeros,
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -16,6 +16,7 @@ from robkit.indicators import (
     region_stability,
 )
 from robkit.reuse import (
+    BLOCK,
     UNIFORMS,
     CorruptedInputError,
     OutOfRangeError,
@@ -275,8 +276,14 @@ class TestReferenceSchedules:
     sweep."""
 
     D, SEED = 10, 4
-    # 63, 64, 65 and 3*64 + 5: groups and folds that straddle merge chunks
-    NS = (1, 2, 3, 7, 255, 256, 1000, 63, 64, 65, 3 * 64 + 5)
+    # 63, 64, 65 and 3*64 + 5 straddle merge chunks smaller than a block;
+    # BLOCK - 1, BLOCK, BLOCK + 1 and 3*BLOCK + 5 straddle drawn blocks
+    NS = tuple(
+        sorted(
+            {1, 2, 3, 7, 255, 256, 1000, 63, 64, 65, 3 * 64 + 5}
+            | {BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5}
+        )
+    )
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -337,7 +344,7 @@ class TestReferenceSchedules:
         # the driver's first block of radius draws per direction
         g = build_grid(GridScheme.UNIFORM, 1e6, 1.0, 2000)
         ind = Indicator(lambda d: int(math.floor(200 * np.linalg.norm(d.coords)) % 2 == 0), "shells")
-        n, d, seed = 70, 5, 3
+        n, d, seed = BLOCK + 6, 5, 3
         leaves = []
         for k in range(1, n + 1):
             u = sample_surface(d, NormKind.L2, SeededStream(seed, 2 * k))
@@ -356,22 +363,25 @@ class TestReferenceSchedules:
         g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
         ind = layered_oracle(20, 11, 19, kind)
         leaves = []
-        for k in range(1, 66):
+        n = BLOCK + 1
+        for k in range(1, n + 1):
             u = sample_surface(self.D, kind, SeededStream(self.SEED, 2 * k))
             leaves.append(radial_sampling_loop(u, g, ind, SeededStream(self.SEED, 2 * k + 1)))
         segs = [run.segments for run in leaves]
         for algo, reference in ((hsra, self.level_tree), (ssra, self.fold)):
-            h, rep = algo(65, g, ind, self.D, kind, seed=self.SEED)
+            h, rep = algo(n, g, ind, self.D, kind, seed=self.SEED)
             ref_h, ref_visits = reference(segs)
             assert h.rows == ref_h.rows
             assert rep.merge_row_visits == ref_visits
             assert rep.total_simulations == sum(run.simulations_used for run in leaves)
 
-    def test_indicator_calls_in_sweep_order(self):
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_indicator_calls_in_sweep_order(self, kind):
         # an indicator without batch sees the same instances, in the same
-        # order, as one sweep loop per direction
+        # order, as one sweep loop per direction; the layered oracle decides
+        # on the radius alone, so only this sees a wrong direction bit
         g = build_grid(GridScheme.GEOMETRIC, math.e, 1.0, 39)
-        layered = layered_oracle(20, 11, 19)
+        layered = layered_oracle(20, 11, 19, kind)
         calls = []
 
         def recording(delta):
@@ -379,10 +389,11 @@ class TestReferenceSchedules:
             return layered(delta)
 
         ind = Indicator(recording, "records")
-        hsra(70, g, ind, self.D, seed=self.SEED)
+        n = BLOCK + 6
+        hsra(n, g, ind, self.D, kind, seed=self.SEED)
         driven, calls[:] = list(calls), []
-        for k in range(1, 71):
-            u = sample_surface(self.D, NormKind.L2, SeededStream(self.SEED, 2 * k))
+        for k in range(1, n + 1):
+            u = sample_surface(self.D, kind, SeededStream(self.SEED, 2 * k))
             radial_sampling_loop(u, g, ind, SeededStream(self.SEED, 2 * k + 1))
         assert len(driven) == len(calls)
         assert all(np.array_equal(a, b) for a, b in zip(driven, calls))
@@ -400,7 +411,7 @@ class TestReferenceSchedules:
             finally:
                 tracemalloc.stop()
 
-        assert peak(4096) <= 2 * peak(256)
+        assert peak(16 * BLOCK) <= 2 * peak(BLOCK)
 
 
 class TestSampleCount:

@@ -180,6 +180,27 @@ class TestRekeyedStreams:
             streams.stream(k).random(out=out)
             assert np.array_equal(out, SeededStream(seed, k).generator().random(4))
 
+    def test_every_stream_is_one_generator(self):
+        # the block driver binds this generator's methods once per block
+        streams = RekeyedStreams(3)
+        assert streams.stream(2) is streams.stream(2**64 - 1)
+
+    @pytest.mark.parametrize("k", [np.int64(5), np.uint64(2**64 - 1)])
+    def test_numpy_integer_stream_index(self, k):
+        gen = RekeyedStreams(3).stream(k)
+        assert np.array_equal(gen.random(5), SeededStream(3, int(k)).generator().random(5))
+
+    def test_revisit_after_odd_length_draw_at_top_index(self):
+        # odd counts of 32-bit and 64-bit draws leave a half-used word and
+        # buffer behind; a revisit must restart from neither
+        streams, k = RekeyedStreams(7), 2**64 - 1
+        gen = streams.stream(k)
+        gen.integers(0, 2, size=3)
+        gen.standard_normal(5)
+        gen, ref = streams.stream(k), SeededStream(7, k).generator()
+        assert np.array_equal(gen.integers(0, 2, size=3), ref.integers(0, 2, size=3))
+        assert np.array_equal(gen.random(5), ref.random(5))
+
     # a seed outside [0, 2**64) would key the streams as a seed inside
     @pytest.mark.parametrize("seed", [-3, -1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
