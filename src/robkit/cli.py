@@ -62,6 +62,7 @@ _KINDS = ("layered", "rank_one", "state_space", "step_servo", "servo_stability")
 _REGIONS = {"half_plane": (HalfPlane, "sigma_max", 0.0), "disk": (Disk, "radius", 1.0)}
 _BLOCKS = {"real": BlockShape.real_matrix, "complex": BlockShape.complex_matrix}
 _LIMITS = (("rise_max", 0.25), ("settle_max", 3.5), ("overshoot_max", 0.7))
+_TOP_KEYS = ("system", "norm", "grid", "sample", "algorithm", "seed", "out", "emit_bbp")
 # adjacent radii must differ by more than this many ulps (see _check_grid_spacing)
 _GRID_STEP_ULPS = 16
 
@@ -112,6 +113,13 @@ def _section(report: ValidationReport, field: str, value) -> dict:
     return {}
 
 
+def _unknown_keys(report: ValidationReport, prefix: str, section: dict, known) -> None:
+    """A config error, named `prefix` + key, for each key of the section that
+    the parser does not read: a misspelt key would otherwise run with the
+    default it was meant to replace."""
+    report.errors.extend(f"{prefix}{key}: unknown key" for key in section if key not in known)
+
+
 def _choice(report: ValidationReport, field: str, value, options):
     """value when it is one of the options (a tuple or a dict's keys), else None."""
     if isinstance(value, str) and value in options:
@@ -145,15 +153,18 @@ def build_indicator(report: ValidationReport, system: dict, norm: NormKind = Nor
     errors = len(report.errors)
     kind = _choice(report, "system.kind", system.get("kind"), _KINDS)
     if kind == "layered":
-        ml, i, j = (_field(report, system, f"system.{k}", int) for k in ("m_layers", "i", "j"))
+        keys = ("m_layers", "i", "j", "d")
+        ml, i, j = (_field(report, system, f"system.{k}", int) for k in keys[:3])
         d = _field(report, system, "system.d", int, 2)
         _at_least(report, "system.d", d, 1)
         make = lambda: (indicators.layered_oracle(ml, i, j, norm), d, None)
     elif kind == "rank_one":
+        keys = ("k",)
         k = _field(report, system, "system.k", int)
         _at_least(report, "system.k", k, 1)
         make = lambda: (indicators.rank_one_oracle(k), k * k, None)
     elif kind == "state_space":
+        keys = ("a", "b", "c", "block", "region")
         a, b, c = (_matrix(report, system, key) for key in "abc")
         block = _choice(report, "system.block", system.get("block", "real"), _BLOCKS)
         region = _section(report, "system.region", system.get("region", {}))
@@ -161,6 +172,7 @@ def build_indicator(report: ValidationReport, system: dict, norm: NormKind = Nor
         if _choice(report, "system.region.kind", region_kind, _REGIONS):
             cls, key, default = _REGIONS[region_kind]
             param = _field(report, region, f"system.region.{key}", float, default)
+            _unknown_keys(report, "system.region.", region, ("kind", key))
 
         def make():
             plant = LtiPlant(a, b, c)
@@ -168,6 +180,7 @@ def build_indicator(report: ValidationReport, system: dict, norm: NormKind = Nor
             return indicators.region_stability(plant, cls(param)), shape.dim, shape
 
     elif kind == "step_servo":
+        keys = tuple(k for k, _ in _LIMITS)
         limits = [_field(report, system, f"system.{k}", float, v) for k, v in _LIMITS]
         rise, settle, overshoot = limits
         _above(report, "system.rise_max", rise, 0)
@@ -175,7 +188,10 @@ def build_indicator(report: ValidationReport, system: dict, norm: NormKind = Nor
         _at_least(report, "system.overshoot_max", overshoot, 0)
         make = lambda: (indicators.step_spec(three_parameter_servo, *limits), 3, None)
     elif kind == "servo_stability":
+        keys = ()
         make = lambda: (indicators.servo_stability_indicator(), 3, None)
+    if kind is not None:
+        _unknown_keys(report, "system.", system, ("kind", *keys))
     if len(report.errors) > errors:
         return None
     try:
@@ -227,11 +243,13 @@ def parse_config(raw):
     if not isinstance(raw, dict):
         report.errors.append(f"top level: must be an object, got {type(raw).__name__}")
         return None, report
+    _unknown_keys(report, "", raw, _TOP_KEYS)
     norm = _choice(report, "norm", str(raw.get("norm", "l2")).lower(), _NORMS)
     system = _section(report, "system", raw.get("system", {}))
     built = build_indicator(report, system, _NORMS.get(norm, NormKind.L2))
 
     grid = _section(report, "grid", raw.get("grid", {}))
+    _unknown_keys(report, "grid.", grid, ("scheme", "lambda", "a", "m", "epsilon"))
     scheme_name = str(grid.get("scheme", "geometric")).lower()
     scheme = _choice(report, "grid.scheme", scheme_name, _SCHEMES)
     lam = _field(report, grid, "grid.lambda")
@@ -248,6 +266,7 @@ def parse_config(raw):
     _at_least(report, "grid.m", m, 2)
 
     sample = _section(report, "sample", raw.get("sample", {}))
+    _unknown_keys(report, "sample.", sample, ("n", "epsilon", "delta"))
     n, s_eps, s_delta = sample.get("n"), sample.get("epsilon"), sample.get("delta")
     if (n is None) == (s_eps is None and s_delta is None):
         report.errors.append("sample: exactly one of 'n' or ('epsilon','delta') is required")

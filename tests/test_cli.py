@@ -258,6 +258,45 @@ class TestRun:
         out = capsys.readouterr().out
         assert f"error: {field}: " in out and "config ok" not in out
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            # a misspelt key would run with the default it was meant to replace
+            ("algoritm", {"algoritm": "ssra"}),
+            ("system.rise_mx", {"system": {"kind": "step_servo", "rise_mx": 0.01}}),
+            ("system.k", {"system": layered(k=3)}),
+            ("system.rise_max", {"system": {"kind": "servo_stability", "rise_max": 0.1}}),
+            ("system.region.sigma_max", {"system": state_space(region={"kind": "disk", "sigma_max": 0.5})}),
+            ("grid.lamda", {"grid": {"scheme": "geometric", "lambda": 2.5, "lamda": 3.0, "a": 1.0, "m": 25}}),
+            ("sample.N", {"sample": {"n": 200, "N": 400}}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unknown_key_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command, field, overrides
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = layered_config(tmp_path, **overrides)
+        if command == "run":
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"config error: {field}: unknown key\n"
+        else:
+            assert main(["validate", "--config", str(cfg)]) == 0
+            assert capsys.readouterr().out == f"error: {field}: unknown key\n"
+
+    def test_unknown_keys_not_reported_under_unknown_kind(self, tmp_path, capsys):
+        # which keys a system or region reads depends on its kind
+        cfg = layered_config(
+            tmp_path, system=state_space(kind="layerd", region={"kind": "disc", "radius": 2.0})
+        )
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("error: system.kind: ") and "unknown key" not in out
+        cfg = layered_config(tmp_path, system=state_space(region={"kind": "disc", "radius": 2.0}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("error: system.region.kind: ") and "unknown key" not in out
+
     @pytest.mark.parametrize("text", [b'{"seed": ' + b"1" * 5000 + b"}", b"\xff\xfe{}"])
     def test_undecodable_config_file_is_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "config.json"

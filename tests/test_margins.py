@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,17 @@ from robkit.margins import (
     MarginResult,
     NominalInstabilityError,
     _golden_max,
+    _golden_point,
     _real_objective,
+    _real_point,
+    _transfer_point,
     complex_margin,
     destabilizing_delta,
     real_margin,
 )
 from reference import complex_margin_bruteforce
+
+CORPUS = Path(__file__).parent / "golden" / "margins.json"
 
 
 def random_stable_plant(rng, n, n_in=2, n_out=2):
@@ -37,23 +44,6 @@ def random_schur_plant(rng, n, n_in=2, n_out=2):
     return LtiPlant(a, rng.standard_normal((n, n_in)), rng.standard_normal((n_out, n)))
 
 
-def scalar_golden_max(f, lo, hi, tol):
-    """One-point golden-section maximization: the reference for the lanes."""
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol * max(1.0, abs(lo) + abs(hi)):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 def scalar_real_objective(m_val):
     """inf over gamma of sigma_2 of the real block matrix at one point."""
     re, im = m_val.real, m_val.imag
@@ -66,7 +56,7 @@ def scalar_real_objective(m_val):
         block = np.block([[re, -g * im], [im / g, re]])
         return -float(np.linalg.svd(block, compute_uv=False)[1])
 
-    lg, val = scalar_golden_max(neg_sigma2, math.log(GAMMA_FLOOR), 0.0, 1e-8)
+    lg, val = _golden_point(neg_sigma2, math.log(GAMMA_FLOOR), 0.0, 1e-8)
     return -val, math.exp(lg)
 
 
@@ -189,6 +179,94 @@ class TestGoldenFloor:
         assert np.all(v1 == floor)
 
 
+class TestOneRule:
+    """The scalar one-point searches are the stacked ones on one point, bit
+    for bit."""
+
+    @staticmethod
+    def _lanes(rng, n):
+        """n random lanes: unimodal quadratics, double wells with a tilt (two
+        local maxima), quadratics that are NaN past a cut or everywhere, and
+        flat lanes, where every comparison ties.  Only +, -, * and
+        comparisons, so a lane's value at x has the same bits whether x
+        comes as an array entry or as a Python float."""
+        kind = rng.integers(0, 5, n)
+        p = rng.uniform(-3.0, 3.0, n)
+        h = rng.uniform(-2.0, 2.0, n)
+        w = rng.uniform(0.5, 4.0, n)
+        cut = np.where(kind == 3, -np.inf, rng.uniform(-4.0, 4.0, n))
+
+        def f(x, lanes):
+            k, pk, hk, wk = kind[lanes], p[lanes], h[lanes], w[lanes]
+            quad = -((x - pk) * (x - pk)) + hk
+            wells = -((x * x - wk) * (x * x - wk)) + hk * x
+            out = np.where(k == 1, wells, np.where(k == 4, hk, quad))
+            return np.where(((k == 2) | (k == 3)) & (x > cut[lanes]), np.nan, out)
+
+        lo = rng.uniform(-5.0, 0.0, n)
+        hi = lo + rng.uniform(1e-3, 8.0, n)
+        return f, lo, hi
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-3])
+    def test_golden_max_lanes_equal_golden_point(self, tol):
+        rng = np.random.default_rng(23)
+        n = 64
+        f, lo, hi = self._lanes(rng, n)
+        x, v = _golden_max(f, lo, hi, tol=tol)
+        nan_lanes = 0
+        for k in range(n):
+            xk, vk = _golden_point(
+                lambda t: float(f(np.array([t]), np.array([k]))[0]), float(lo[k]), float(hi[k]), tol
+            )
+            assert np.array([xk, vk]).tobytes() == np.array([x[k], v[k]]).tobytes()
+            nan_lanes += math.isnan(vk)
+        assert nan_lanes > 0
+
+    def test_golden_point_finds_interior_maximum(self):
+        x, v = _golden_point(lambda t: -((t - 0.3) ** 2) + 1.5, -5.0, 5.0, 1e-10)
+        # a flat top pins x only to about sqrt(eps)
+        assert x == pytest.approx(0.3, abs=1e-7) and v == pytest.approx(1.5, abs=1e-14)
+
+    @staticmethod
+    def _assert_point_equals_stack(m):
+        values, gammas = _real_objective(m[None])
+        value, gamma = _real_point(m)
+        assert type(value) is float and type(gamma) is float
+        assert np.array([value, gamma]).tobytes() == np.array([values[0], gammas[0]]).tobytes()
+
+    def test_real_point_on_random_matrices(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            shape = (2, 2)
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            self._assert_point_equals_stack(m * 10.0 ** rng.uniform(-6, 6))
+
+    def test_real_point_on_real_and_near_real_matrices(self):
+        rng = np.random.default_rng(32)
+        seen = set()
+        for scale in (0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-10):
+            for _ in range(5):
+                re = rng.standard_normal((2, 2))
+                m = re + 1j * scale * rng.uniform(-1.0, 1.0, (2, 2)) * np.max(np.abs(re))
+                seen.add(bool(np.max(np.abs(m.imag)) <= 1e-14 * np.max(np.abs(m))))
+                self._assert_point_equals_stack(m)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("c", [1.0, 1e-15, 1e3])
+    def test_real_point_on_scaled_plant(self, c):
+        # the plant-margins benchmark plant of seed 9
+        plant = random_stable_plant(np.random.default_rng(9), 6)
+        scaled = LtiPlant(plant.a_mat, plant.b_mat, c * plant.c_mat)
+        region = HalfPlane(0.0)
+        for t in (0.0, 1e-3, 0.37, 1.992156660662661, 40.0):
+            self._assert_point_equals_stack(_transfer_point(scaled, region, t))
+
+    def test_real_point_on_disk_edge(self):
+        plant = random_schur_plant(np.random.default_rng(42), 3)
+        for t in (math.pi, 0.0, 2.0):
+            self._assert_point_equals_stack(_transfer_point(plant, Disk(1.0), t))
+
+
 class TestScalarExamples:
     def test_unit_lag_complex_margin(self):
         plant = LtiPlant([[-1.0]], [[1.0]], [[1.0]])
@@ -301,3 +379,86 @@ class TestDegenerateGamma:
         assert res.gamma_at_inf == pytest.approx(1.0)
         # sigma_2 of diag(1, 1/2) duplicated is 1 -> margin 1
         assert res.value == pytest.approx(1.0, rel=1e-6)
+
+
+def _hex_matrix(m):
+    return [[float(x).hex() for x in row] for row in np.asarray(m, dtype=float)]
+
+
+def _result_record(res):
+    return {
+        "kind": res.kind,
+        "value": res.value.hex(),
+        "frequency_at_sup": res.frequency_at_sup.hex(),
+        "gamma_at_inf": None if res.gamma_at_inf is None else res.gamma_at_inf.hex(),
+    }
+
+
+def _region(spec):
+    return HalfPlane(spec["sigma_max"]) if spec["kind"] == "half_plane" else Disk(spec["radius"])
+
+
+class TestCommittedCorpus:
+    """Every MarginResult field of a fixed set of plants, as float.hex, in
+    tests/golden/margins.json: half-plane plants drawn as in acceptance
+    criterion 8, disk plants with every pole inside the unit disk, and the
+    benchmark's plant-margins plant of seed 9.  A change to the margins that
+    moves any bit fails here; `python tests/test_margins.py` rewrites the
+    file."""
+
+    @pytest.mark.parametrize("case", json.loads(CORPUS.read_text()), ids=lambda c: c["name"])
+    def test_margins_match_corpus(self, case):
+        plant = LtiPlant(
+            *(np.array([[float.fromhex(x) for x in row] for row in case[k]]) for k in "abc")
+        )
+        region = _region(case["region"])
+        assert _result_record(complex_margin(plant, region, case["complex_points"])) == case["complex"]
+        assert _result_record(real_margin(plant, region, case["real_points"])) == case["real"]
+
+
+def write_corpus():
+    """Regenerate tests/golden/margins.json from its seeded plants."""
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+    from workloads import random_plant
+
+    cases = []
+
+    def add(name, plant, region, complex_points, real_points):
+        cases.append(
+            {
+                "name": name,
+                "region": region,
+                "a": _hex_matrix(plant.a_mat),
+                "b": _hex_matrix(plant.b_mat),
+                "c": _hex_matrix(plant.c_mat),
+                "complex_points": complex_points,
+                "real_points": real_points,
+                "complex": _result_record(complex_margin(plant, _region(region), complex_points)),
+                "real": _result_record(real_margin(plant, _region(region), real_points)),
+            }
+        )
+
+    # the draws of acceptance criterion 8
+    rng = np.random.default_rng(0)
+    for k in range(8):
+        n = int(rng.integers(2, 6))
+        a = rng.standard_normal((n, n))
+        shift = max(np.max(np.linalg.eigvals(a).real), 0.0) + rng.uniform(0.5, 2.0)
+        plant = LtiPlant(
+            a - shift * np.eye(n), rng.standard_normal((n, 2)), rng.standard_normal((2, n))
+        )
+        add(f"half_plane_{k}", plant, {"kind": "half_plane", "sigma_max": 0.0}, 512, 96)
+    rng = np.random.default_rng(42)
+    for k in range(4):
+        plant = random_schur_plant(rng, int(rng.integers(1, 5)))
+        add(f"disk_{k}", plant, {"kind": "disk", "radius": 1.0}, 512, 512)
+    p = random_plant(9)
+    plant = LtiPlant(p["a"], p["b"], p["c"])
+    add("plant_margins_seed9", plant, {"kind": "half_plane", "sigma_max": 0.0}, 2048, 2048)
+    CORPUS.write_text(json.dumps(cases, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_corpus()
