@@ -372,10 +372,17 @@ class TestServo:
         assert ind(UncertaintyInstance(np.array([-9.0, 0.0, 0.0]))) == 0
 
     def test_non_finite_step_response_raises(self):
-        # a 1e300 s settling limit makes the time step 2.5e297 s, and the
-        # discretized loop overflows to NaN; this is an error, not a failed instance
-        ind = step_spec(three_parameter_servo, 1e299, 1e300, 0.7)
-        with pytest.raises(ValueError, match=r"step response is not finite at time step 2\.5e\+297"):
+        # B scaled by 1.5e308 settles at 1.5e308, and the nominal servo's 47%
+        # overshoot carries the response past the largest double; this is an
+        # error, not a failed instance
+        def overflowing(delta):
+            a, b, c, d = three_parameter_servo(delta)
+            return a, 1.5e308 * b, c, d
+
+        ind = step_spec(overflowing, 0.25, 3.5, 0.7)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"step response is not finite at time step 0\.00875 s"
+        ):
             ind(UncertaintyInstance(np.zeros(3)))
 
 
@@ -455,14 +462,14 @@ class TestServoCompanionForm:
         )
         assert out.split() == ["False", "False", "False"]
 
-    def test_step_spec_loads_scipy_linalg(self):
-        # when the indicator is built, not on its first decision
+    def test_step_spec_loads_no_scipy(self):
         out = self.fresh_python(
-            "import sys, robkit; from robkit.indicators import three_parameter_servo; "
-            "robkit.step_spec(three_parameter_servo, 0.25, 3.5, 0.7); "
-            "print('scipy.linalg' in sys.modules)"
+            "import sys, numpy as np, robkit; from robkit.indicators import three_parameter_servo; "
+            "ind = robkit.step_spec(three_parameter_servo, 0.25, 3.5, 0.7); "
+            "print(ind(robkit.UncertaintyInstance(np.zeros(3))), "
+            "any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
         )
-        assert out.split() == ["True"]
+        assert out.split() == ["1", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -623,3 +630,79 @@ class TestStepResponseScan:
             assert len(pairs) == 5
             coords += [q for pair in pairs for q in pair]
         assert decision_flips(coords, [SERVO_LIMITS, settle_only]) == []
+
+
+# ---------------------------------------------------------------------------
+# _expm_affine, the discretization of _step_response, against SciPy's expm
+# and closed forms.
+# ---------------------------------------------------------------------------
+
+
+def servo_aug(settle_max):
+    """The augmented matrix [[A dt, B dt], [0, 0]] of step_spec's response
+    of the nominal servo at this settling limit, with A and B."""
+    a, b, _, _ = servo_matrices(np.zeros(3))
+    dt = 5.0 * settle_max / indicators.STEP_COUNT
+    aug = np.zeros((5, 5))
+    aug[:4, :4] = a * dt
+    aug[:4, 4:] = b * dt
+    return aug, a, b
+
+
+class TestExpmAffine:
+    @pytest.mark.parametrize("inputs", [1, 2])
+    @pytest.mark.parametrize("norm", [1e-6, 1e-3, 0.1, 1.0, 5.0, 6.0, 30.0, 200.0, 1e3])
+    def test_matches_scipy_expm(self, norm, inputs):
+        # stable A with random B, scaled to the 1-norm: s runs from 0 to 8
+        rng = np.random.default_rng(int(norm * 1e6) + inputs)
+        for n in (1, 2, 4):
+            a = rng.standard_normal((n, n))
+            a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(n)
+            aug = np.zeros((n + inputs, n + inputs))
+            aug[:n] = np.hstack([a, rng.standard_normal((n, inputs))])
+            aug *= norm / np.linalg.norm(aug, 1)
+            ref = expm(aug)
+            got = indicators._expm_affine(aug, n)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("gain", [1.0, 1e100])
+    @pytest.mark.parametrize("steps", [1e-6, 0.1, 1.0, 10.0, 100.0, 1e4])
+    def test_one_state_closed_form(self, steps, gain):
+        # dx/dt = -x/tau + gain*u over dt = steps*tau: A_d = exp(-steps) and
+        # B_d = gain*tau*(1 - exp(-steps)); a B 1e100 times larger than A
+        # changes nothing but B_d's scale
+        tau = 0.3
+        aug = np.array([[-steps, gain * steps * tau], [0.0, 0.0]])
+        got = indicators._expm_affine(aug, 1)
+        assert got[0, 0] == pytest.approx(math.exp(-steps), rel=1e-12, abs=0.0)
+        assert got[0, 1] == pytest.approx(-gain * tau * math.expm1(-steps), rel=1e-12)
+
+    def test_rows_below_n_are_exactly_zero_and_identity(self):
+        # from no squaring to the 1000 of a 1e300 s settling limit
+        for settle_max in [10.0**p for p in range(-3, 301, 7)] + [1e300]:
+            aug, _, _ = servo_aug(settle_max)
+            got = indicators._expm_affine(aug, 4)
+            assert np.isfinite(got).all()
+            assert np.array_equal(got[4:], np.eye(5)[4:])
+
+    @pytest.mark.parametrize("settle_max", [1e15, 1e300])
+    def test_long_step_reaches_dc_gain(self, settle_max):
+        # exp(A dt) underflows to 0, so B_d = A^-1 (exp(A dt) - I) B = -A^-1 B;
+        # rows n: off by one rounding and squared 50 to 1000 times miss this
+        aug, a, b = servo_aug(settle_max)
+        got = indicators._expm_affine(aug, 4)
+        dc = -np.linalg.solve(a, b)
+        assert np.max(np.abs(got[:4, 4:] - dc)) <= 1e-12 * np.max(np.abs(dc))
+
+    @pytest.mark.parametrize("entry", [(0, 0, np.inf), (1, 4, -np.inf), (2, 2, np.nan)])
+    def test_non_finite_entry_gives_nan(self, entry):
+        aug, _, _ = servo_aug(3.5)
+        i, j, value = entry
+        aug[i, j] = value
+        assert np.isnan(indicators._expm_affine(aug, 4)).all()
+
+    def test_overflowing_norm_gives_nan(self):
+        # finite entries whose column sum passes the largest double
+        aug = np.array([[-1e308, 0.0, 1.0], [-1e308, -1.0, 1.0], [0.0, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert np.isnan(indicators._expm_affine(aug, 2)).all()
